@@ -47,25 +47,20 @@ from .sets import (
     tangent_quotient,
 )
 from .spectral import (
-    EigenDecomposition,
     smoothed_max_eig,
     smoothed_max_eig_grad,
-    symmetric_eigendecomposition,
     symmetrize,
 )
 from .connectivity import (
     NetworkState,
-    NodeState,
-    RoundMessage,
     assemble_weights,
     assembled_connectivity,
     initial_network,
-    node_fields,
-    node_matrix,
+    network_fields,
+    node_matrices,
     objective_value,
     run_round,
     simulate,
-    symmetric_basis,
 )
 
 __version__ = "0.1.0"
@@ -99,21 +94,16 @@ __all__ = [
     "Product",
     "SimpleSet",
     "tangent_quotient",
-    "EigenDecomposition",
     "smoothed_max_eig",
     "smoothed_max_eig_grad",
-    "symmetric_eigendecomposition",
     "symmetrize",
     "NetworkState",
-    "NodeState",
-    "RoundMessage",
     "assemble_weights",
     "assembled_connectivity",
     "initial_network",
-    "node_fields",
-    "node_matrix",
+    "network_fields",
+    "node_matrices",
     "objective_value",
     "run_round",
     "simulate",
-    "symmetric_basis",
 ]

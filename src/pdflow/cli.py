@@ -170,8 +170,8 @@ def write_weights_csv(path: Path, network: distnet.NetworkState) -> None:
     graph = network.graph
     lines = ["edge,node_a,node_b,contribution_a,contribution_b,total"]
     for k, (i, j) in enumerate(graph.edges, start=1):
-        wa = network.nodes[i - 1].w[k]
-        wb = network.nodes[j - 1].w[k]
+        wa = network.W[i - 1, k - 1]
+        wb = network.W[j - 1, k - 1]
         lines.append(f"{k},{i},{j},{_fmt(wa)},{_fmt(wb)},{_fmt(wa + wb)}")
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
@@ -226,14 +226,14 @@ def _run_solve(problem: ProblemSpec, config: SolverConfig, seed, out_dir: Path, 
 
 
 def _run_connectivity(
-    graph: Graph, eps: float, config: SolverConfig, seed, threads: int, out_dir: Path, stem: str
+    graph: Graph, eps: float, config: SolverConfig, seed, out_dir: Path, stem: str
 ) -> RunSummary:
     if seed is None:
         init = distnet.initial_network(graph, eps)
     else:
         init = distnet.random_network(graph, eps, np.random.default_rng(seed))
     start = time.perf_counter()
-    network, history = distnet.simulate(graph, eps, config, init=init, threads=threads)
+    network, history = distnet.simulate(graph, eps, config, init=init)
     elapsed = time.perf_counter() - start
     final = history[-1]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,9 +269,7 @@ def cmd_connectivity(args) -> int:
     graph = parse_graph(text)
     config = _solve_config(args, presets.connectivity_config())
     eps = args.epsilon if args.epsilon is not None else presets.CONNECTIVITY_EPS
-    summary = _run_connectivity(
-        graph, eps, config, args.seed, args.threads, args.output, args.graph.stem
-    )
+    summary = _run_connectivity(graph, eps, config, args.seed, args.output, args.graph.stem)
     return EXIT_CONVERGED if summary.converged else EXIT_STEP_BUDGET
 
 
@@ -294,15 +292,13 @@ def cmd_examples(args) -> int:
         default_eps = presets.EXAMPLE4_EPS
     config = _solve_config(args, config)
     eps = args.epsilon if args.epsilon is not None else default_eps
-    summary = _run_connectivity(
-        graph, eps, config, args.seed, args.threads, args.output, name
-    )
+    summary = _run_connectivity(graph, eps, config, args.seed, args.output, name)
     return EXIT_CONVERGED if summary.converged else EXIT_STEP_BUDGET
 
 
 # ---------------------------------------------------------------- entry point
 
-def _add_run_flags(parser, with_integrator=False, with_epsilon=False, with_threads=False):
+def _add_run_flags(parser, with_integrator=False, with_epsilon=False):
     parser.add_argument("--dt", type=float, default=None, help="integration step size")
     parser.add_argument("--steps", type=int, default=None, help="maximum number of steps")
     parser.add_argument("--tol", type=float, default=None, help="residual stopping tolerance")
@@ -313,8 +309,6 @@ def _add_run_flags(parser, with_integrator=False, with_epsilon=False, with_threa
         parser.add_argument("--integrator", choices=["euler", "heun", "rk4"], default=None)
     if with_epsilon:
         parser.add_argument("--epsilon", type=float, default=None, help="eigenvalue smoothing parameter")
-    if with_threads:
-        parser.add_argument("--threads", type=int, default=1, help="intra-round worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conn = sub.add_parser("connectivity", help="maximize a graph's algebraic connectivity")
     p_conn.add_argument("graph", type=Path, help="edge-list graph file")
-    _add_run_flags(p_conn, with_epsilon=True, with_threads=True)
+    _add_run_flags(p_conn, with_epsilon=True)
     p_conn.set_defaults(func=cmd_connectivity)
 
     p_ex = sub.add_parser("examples", help="run a built-in example")
     p_ex.add_argument("name", choices=["example1", "example2", "example3", "example4"])
-    _add_run_flags(p_ex, with_integrator=True, with_epsilon=True, with_threads=True)
+    _add_run_flags(p_ex, with_integrator=True, with_epsilon=True)
     p_ex.set_defaults(func=cmd_examples)
 
     return parser

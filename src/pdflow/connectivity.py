@@ -1,17 +1,20 @@
 """Distributed maximization of a graph's algebraic connectivity.
 
-Each node i owns a scalar shift mu, one weight contribution per incident
-edge, a symmetric auxiliary matrix Z (stored as upper-triangle coefficients
-z) and a scalar dual v for its unit weight budget.  The node-local matrix
+Each node i owns a scalar shift mu_i, one weight contribution w_ik per
+incident edge k, a symmetric auxiliary matrix Z_i and a scalar dual v_i for
+its unit weight budget.  With L the unweighted Laplacian, the node-local matrix
 
-    X_i = -mu_i * ONES - sum_{k incident} w_k_i * E_k + sum_{j ~ i} (Z_i - Z_j)
+    X_i = -mu_i * ONES - sum_{k incident} w_ik * E_k + sum_{j ~ i} (Z_i - Z_j)
 
 has -lambda2_i as (approximately) its largest eigenvalue, and the network
 minimizes sum_i of the smoothed maximum eigenvalue of X_i subject to each
 node's weight budget.  The projected saddle-point dynamics of that problem
 decompose edge-locally: a node only ever needs its neighbors' Z and
-smoothed-eigenvalue gradients, which are exchanged once per synchronous
-round.
+smoothed-eigenvalue gradients G, which are exchanged once per synchronous
+round.  The network is stored as one array per variable (``mu (N,)``,
+``W (N, E)`` zero off the incidence, ``Z (N, N, N)``, ``v (N,)``) and a round
+evaluates all nodes at once; the last term of X_i is sum_j L_ij Z_j, whose
+zero Laplacian entries keep each node's update local.
 """
 
 from __future__ import annotations
@@ -23,133 +26,83 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .flow import DivergenceError, SolverConfig
-from .graphs import Graph, add_edge_term, algebraic_connectivity, weighted_laplacian
+from .graphs import Graph, algebraic_connectivity, weighted_laplacian
 from .spectral import smoothed_max_eig, smoothed_max_eig_grad
 
 # A weight contribution counts as sitting on the zero bound within this band.
 _ACTIVITY_TOL = 1e-9
 
 
-def num_basis(n: int) -> int:
-    """Dimension of the space of symmetric n x n matrices."""
-    return n * (n + 1) // 2
+class _Topology(NamedTuple):
+    laplacian: np.ndarray  # (N, N) unweighted Laplacian
+    incidence: np.ndarray  # (N, E) column k is e_a - e_b for edge k = (a, b)
+    mask: np.ndarray  # (N, E) node i is an endpoint of edge k
+    heads: np.ndarray  # (E,) 0-based first endpoints
+    tails: np.ndarray  # (E,) 0-based second endpoints
+    triu: tuple  # upper-triangle indices of an N x N matrix
 
 
-@lru_cache(maxsize=None)
-def _triu(n: int):
-    rows, cols = np.triu_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+@lru_cache(maxsize=32)
+def _topology(graph: Graph) -> _Topology:
+    """The graph's index arrays, built once per graph and shared read-only."""
+    if graph.n < 2:
+        raise ValueError("connectivity needs at least 2 nodes")
+    heads = np.array([a - 1 for a, _ in graph.edges], dtype=np.intp)
+    tails = np.array([b - 1 for _, b in graph.edges], dtype=np.intp)
+    cols = np.arange(graph.num_edges)
+    incidence = np.zeros((graph.n, graph.num_edges))
+    incidence[heads, cols] = 1.0
+    incidence[tails, cols] = -1.0
+    rows, upper = np.triu_indices(graph.n)
+    arrays = (graph.unweighted_laplacian(), incidence, incidence != 0.0, heads, tails)
+    for array in arrays + (rows, upper):
+        array.setflags(write=False)
+    return _Topology(*arrays, triu=(rows, upper))
 
 
-def symmetric_basis(l: int, n: int) -> np.ndarray:
-    """The l-th canonical basis matrix of symmetric n x n matrices.
-
-    Index l (1-based) enumerates upper-triangle positions (p, q), p <= q, in
-    row-major order; the matrix has ones at (p, q) and (q, p).
-    """
-    total = num_basis(n)
-    if not 1 <= l <= total:
-        raise ValueError(f"basis index {l} out of range 1..{total}")
-    rows, cols = _triu(n)
-    p, q = int(rows[l - 1]), int(cols[l - 1])
-    B = np.zeros((n, n))
-    B[p, q] = B[q, p] = 1.0
-    return B
-
-
-def coeffs_to_matrix(z, n: int) -> np.ndarray:
-    """Symmetric matrix sum_l z_l * B_l from its basis coefficients."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (num_basis(n),):
-        raise ValueError(f"expected {num_basis(n)} coefficients, got shape {z.shape}")
-    rows, cols = _triu(n)
-    Z = np.zeros((n, n))
-    Z[rows, cols] = z
-    Z[cols, rows] = z
-    return Z
-
-
-def matrix_basis_pairings(S: np.ndarray) -> np.ndarray:
-    """Vector of trace(S @ B_l) over all basis matrices.
-
-    Equals 2*S_pq off the diagonal and S_pp on it, for symmetric S.
-    """
-    n = S.shape[0]
-    rows, cols = _triu(n)
-    vals = S[rows, cols].astype(float)
-    off = rows != cols
-    vals[off] *= 2.0
-    return vals
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """One node's optimization variables.
-
-    ``w`` maps each incident edge label to that node's weight contribution;
-    contributions stay nonnegative under the projected update.
-    """
-
-    node: int
-    mu: float
-    w: dict
-    z: np.ndarray
-    v: float
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).copy()
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", dict(self.w))
-
-    def budget_violation(self) -> float:
-        """Sum of this node's contributions minus its unit budget."""
-        return float(sum(self.w.values())) - 1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkState:
+    """Every node's variables, one read-only array per variable.
+
+    Row i (0-based) of each array belongs to node i + 1; column k of ``W``
+    to edge label k + 1.  Contributions stay nonnegative under the
+    projected update.
+    """
+
     graph: Graph
-    nodes: tuple
+    mu: np.ndarray
+    W: np.ndarray
+    Z: np.ndarray
+    v: np.ndarray
     eps: float
 
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        nodes = tuple(self.nodes)
-        if len(nodes) != self.graph.n:
-            raise ValueError(f"expected {self.graph.n} node states, got {len(nodes)}")
-        nb = num_basis(self.graph.n)
-        for idx, node in enumerate(nodes, start=1):
-            if node.node != idx:
-                raise ValueError(f"node state at position {idx} carries id {node.node}")
-            expected = set(self.graph.incident_edges(idx))
-            if set(node.w.keys()) != expected:
-                raise ValueError(
-                    f"node {idx}: weight keys {sorted(node.w)} do not match "
-                    f"incident edges {sorted(expected)}"
-                )
-            if node.z.shape != (nb,):
-                raise ValueError(f"node {idx}: z must have {nb} entries")
-        object.__setattr__(self, "nodes", nodes)
+        n, mask = self.graph.n, _topology(self.graph).mask
+        for name, shape in (("mu", (n,)), ("W", mask.shape), ("Z", (n, n, n)), ("v", (n,))):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            if array.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+            object.__setattr__(self, name, array)
+        if np.any(self.W[~mask] != 0.0):
+            raise ValueError("W must be zero on edges not incident to the node")
+        if not np.array_equal(self.Z, np.swapaxes(self.Z, 1, 2)):
+            raise ValueError("every Z_i must be symmetric")
+
+    def budget_violation(self) -> np.ndarray:
+        """Each node's sum of contributions minus its unit budget."""
+        return self.W.sum(axis=1) - 1.0
 
 
-@dataclass(frozen=True)
-class RoundMessage:
-    """What a node broadcasts each round: its Z matrix and its gradient."""
+class Fields(NamedTuple):
+    """Every node's field values; ``dW`` before the orthant projection."""
 
-    sender: int
-    Z: np.ndarray
-    G: np.ndarray
-
-
-class NodeFields(NamedTuple):
-    dmu: float
-    dw: dict
-    dz: np.ndarray
-    dv: float
+    dmu: np.ndarray
+    dW: np.ndarray
+    dZ: np.ndarray
+    dv: np.ndarray
 
 
 class HistoryPoint(NamedTuple):
@@ -160,231 +113,112 @@ class HistoryPoint(NamedTuple):
     contributions: tuple
 
 
-def _assemble_matrix(graph: Graph, node: NodeState, Z_own: np.ndarray, neighbor_Z) -> np.ndarray:
-    """X_i from a node's own variables and its neighbors' Z matrices.
+def _require_finite(*per_node) -> None:
+    """Raise naming the first node whose rows hold a non-finite value."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in per_node]
+    )
+    if not finite.all():
+        raise DivergenceError(f"node {int(np.argmin(finite)) + 1} produced non-finite values")
 
-    ``neighbor_Z`` must be ordered by ascending neighbor id so the floating
-    point sum is reproducible.
-    """
-    n = graph.n
-    X = np.full((n, n), -node.mu)
-    for k, wk in node.w.items():
-        add_edge_term(X, graph, k, -wk)
-    degree = graph.degree(node.node)
-    if degree:
-        X = X + degree * Z_own
-        for Zj in neighbor_Z:
-            X -= Zj
+
+def node_matrices(network: NetworkState) -> np.ndarray:
+    """The stack of matrices X_i whose largest eigenvalues the nodes drive down."""
+    top = _topology(network.graph)
+    n, B = network.graph.n, top.incidence
+    X = np.tensordot(top.laplacian, network.Z, axes=1)
+    # sum_k w_ik E_k = B diag(W_i) B^T, as one matmul over the whole stack
+    X -= ((B * network.W[:, None, :]).reshape(n * n, -1) @ B.T).reshape(n, n, n)
+    X -= network.mu[:, None, None]
     return X
 
 
-def node_matrix(network: NetworkState, i: int) -> np.ndarray:
-    """The matrix X_i whose largest eigenvalue node i is driving down."""
-    graph = network.graph
-    if not 1 <= i <= graph.n:
-        raise ValueError(f"node id {i} out of range 1..{graph.n}")
-    node = network.nodes[i - 1]
-    Z_own = coeffs_to_matrix(node.z, graph.n)
-    neighbor_Z = [
-        coeffs_to_matrix(network.nodes[j - 1].z, graph.n) for j in graph.neighbors(i)
-    ]
-    return _assemble_matrix(graph, node, Z_own, neighbor_Z)
+def _broadcast(network: NetworkState):
+    """Phase 1 of a round: every node's smoothed value and its gradient G_i."""
+    X = node_matrices(network)
+    _require_finite(X)
+    return smoothed_max_eig_grad(X, network.eps, return_value=True)
 
 
-def _edge_pairing(G: np.ndarray, graph: Graph, k: int) -> float:
-    """trace(G @ E_k) = G_ii + G_jj - 2 G_ij for edge k = (i, j)."""
-    i, j = graph.edges[k - 1]
-    a, b = i - 1, j - 1
-    return float(G[a, a] + G[b, b] - 2.0 * G[a, b])
+def _fields(network: NetworkState, G: np.ndarray) -> Fields:
+    """Phase 2: each node's fields from its own and its neighbors' G."""
+    top = _topology(network.graph)
+    a, b = top.heads, top.tails
+    g = network.budget_violation()
+    pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
+    dW = np.where(top.mask, pairing - network.v[:, None] - g[:, None], 0.0)
+    S = np.tensordot(top.laplacian, G, axes=1)
+    # keeps every Z_i exactly symmetric whatever order BLAS sums in; a no-op
+    # when S is already symmetric
+    S = (S + np.swapaxes(S, 1, 2)) / 2.0
+    # trace(S B_pq) for the symmetric basis matrix B_pq: 2 S_pq off the
+    # diagonal, S_pp on it
+    dZ = -2.0 * S
+    diag = np.arange(network.graph.n)
+    dZ[:, diag, diag] = -S[:, diag, diag]
+    return Fields(dmu=G.reshape(len(G), -1).sum(axis=1), dW=dW, dZ=dZ, dv=g)
 
 
-def _raw_fields(graph, node, G_own, neighbor_G):
-    """Unprojected field values for one node.
-
-    ``neighbor_G`` is ordered by ascending neighbor id.  Returns
-    (dmu, raw dw by edge label, dz, dv); dw is the descent value before the
-    nonnegativity projection.
-    """
-    dmu = float(G_own.sum())
-    budget = node.budget_violation()
-    dw_raw = {
-        k: _edge_pairing(G_own, graph, k) - node.v - budget
-        for k in graph.incident_edges(node.node)
-    }
-    degree = graph.degree(node.node)
-    S = degree * G_own
-    for Gj in neighbor_G:
-        S = S - Gj
-    dz = -matrix_basis_pairings(S)
-    return dmu, dw_raw, dz, budget
+def network_fields(network: NetworkState) -> Fields:
+    """Every node's unprojected field values at the current state."""
+    return _fields(network, _broadcast(network)[1])
 
 
-def _project_w_field(node: NodeState, dw_raw: dict) -> dict:
-    """Tangent-cone projection of the weight field onto the orthant at w."""
-    return {
-        k: (max(val, 0.0) if node.w[k] <= _ACTIVITY_TOL else val)
-        for k, val in dw_raw.items()
-    }
-
-
-def node_fields(network: NetworkState, i: int, inbox) -> NodeFields:
-    """Field values for node i given one message from each neighbor.
-
-    The weight field is returned already projected onto the tangent cone of
-    the nonnegative orthant at the current contributions.  Raises if the
-    inbox does not contain exactly one message per neighbor.
-    """
-    graph = network.graph
-    node = network.nodes[i - 1]
-    expected = graph.neighbors(i)
-    by_sender = {}
-    for msg in inbox:
-        if msg.sender in by_sender:
-            raise ValueError(f"node {i}: duplicate message from node {msg.sender}")
-        by_sender[msg.sender] = msg
-    if set(by_sender) != set(expected):
-        raise ValueError(
-            f"node {i}: expected messages from nodes {sorted(expected)}, "
-            f"got {sorted(by_sender)}"
-        )
-    Z_own = coeffs_to_matrix(node.z, graph.n)
-    X = _assemble_matrix(graph, node, Z_own, [by_sender[j].Z for j in expected])
-    G_own = smoothed_max_eig_grad(X, network.eps)
-    dmu, dw_raw, dz, dv = _raw_fields(
-        graph, node, G_own, [by_sender[j].G for j in expected]
-    )
-    return NodeFields(dmu=dmu, dw=_project_w_field(node, dw_raw), dz=dz, dv=dv)
-
-
-def make_message(network: NetworkState, i: int) -> RoundMessage:
-    """The message node i broadcasts: its current Z and its gradient."""
-    node = network.nodes[i - 1]
-    Z = coeffs_to_matrix(node.z, network.graph.n)
-    G = smoothed_max_eig_grad(node_matrix(network, i), network.eps)
-    return RoundMessage(sender=i, Z=Z, G=G)
-
-
-def _broadcast(network: NetworkState, pool=None) -> dict:
-    """Phase-1 messages for every node, from one consistent snapshot.
-
-    Each node's Z matrix is materialized once and shared between its own
-    message and its neighbors' assemblies; the values are identical to
-    per-node :func:`make_message` calls.
-    """
-    graph, eps = network.graph, network.eps
-    ids = range(1, graph.n + 1)
-    Z = {i: coeffs_to_matrix(network.nodes[i - 1].z, graph.n) for i in ids}
-
-    def message(i: int) -> RoundMessage:
-        node = network.nodes[i - 1]
-        X = _assemble_matrix(graph, node, Z[i], [Z[j] for j in graph.neighbors(i)])
-        if not np.isfinite(X).all():
-            raise DivergenceError(f"node {i} produced non-finite values")
-        return RoundMessage(sender=i, Z=Z[i], G=smoothed_max_eig_grad(X, eps))
-
-    mapper = pool.map if pool is not None else map
-    return dict(zip(ids, mapper(message, ids)))
-
-
-def run_round(network: NetworkState, dt: float, pool=None) -> NetworkState:
+def run_round(network: NetworkState, dt: float) -> NetworkState:
     """One synchronous round: broadcast, then simultaneous Euler updates.
 
-    Every node computes its message from the pre-round state; all updates
+    Every node computes its fields from the pre-round state; all updates
     then apply at once.  The weight update uses the proximal form
     w+ = max(0, w + dt * raw_field), which keeps contributions nonnegative
-    exactly.  ``pool`` may be a ThreadPoolExecutor for intra-round
-    parallelism; results do not depend on evaluation order.
+    exactly.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    return _apply_round(network, dt, _broadcast(network, pool), pool)
+    return _apply_round(network, dt, network_fields(network))
 
 
-def _apply_round(network: NetworkState, dt: float, messages: dict, pool=None) -> NetworkState:
-    graph = network.graph
-
-    def update(i: int) -> NodeState:
-        node = network.nodes[i - 1]
-        nbrs = graph.neighbors(i)
-        dmu, dw_raw, dz, dv = _raw_fields(
-            graph, node, messages[i].G, [messages[j].G for j in nbrs]
-        )
-        mu = node.mu + dt * dmu
-        w = {k: max(0.0, wk + dt * dw_raw[k]) for k, wk in node.w.items()}
-        z = node.z + dt * dz
-        v = node.v + dt * dv
-        values = [mu, v, *w.values()]
-        if not (np.isfinite(values).all() and np.isfinite(z).all()):
-            raise DivergenceError(f"node {i} produced non-finite values")
-        return NodeState(node=i, mu=mu, w=w, z=z, v=v)
-
-    ids = range(1, graph.n + 1)
-    mapper = pool.map if pool is not None else map
+def _apply_round(network: NetworkState, dt: float, fields: Fields) -> NetworkState:
     with np.errstate(over="ignore", invalid="ignore"):
-        nodes = tuple(mapper(update, ids))
-    return NetworkState(graph=graph, nodes=nodes, eps=network.eps)
+        mu = network.mu + dt * fields.dmu
+        W = np.maximum(network.W + dt * fields.dW, 0.0)
+        Z = network.Z + dt * fields.dZ
+        v = network.v + dt * fields.dv
+    _require_finite(mu, W, Z, v)
+    return NetworkState(graph=network.graph, mu=mu, W=W, Z=Z, v=v, eps=network.eps)
 
 
-def network_residual(network: NetworkState, pool=None) -> float:
-    """Aggregate stationarity measure of the whole network.
-
-    Sum of absolute budget violations plus the Euclidean norm of all
-    projected primal fields (mu, w and z components of every node); zero
-    exactly at equilibria of the dynamics.
-    """
-    messages = _broadcast(network, pool)
-    return _residual_from_messages(network, messages)
+def network_residual(network: NetworkState) -> float:
+    """Sum of absolute budget violations plus the Euclidean norm of all
+    projected primal fields (mu, w and the upper-triangle z coefficients of
+    every node); zero exactly at equilibria of the dynamics."""
+    return _residual_from_messages(network, network_fields(network))
 
 
-def _residual_from_messages(network: NetworkState, messages: dict) -> float:
-    graph = network.graph
-    budget_total = 0.0
-    sq = 0.0
-    for i in range(1, graph.n + 1):
-        node = network.nodes[i - 1]
-        nbrs = graph.neighbors(i)
-        dmu, dw_raw, dz, dv = _raw_fields(
-            graph, node, messages[i].G, [messages[j].G for j in nbrs]
-        )
-        dw = _project_w_field(node, dw_raw)
-        budget_total += abs(dv)
-        sq += dmu * dmu + sum(val * val for val in dw.values()) + float(dz @ dz)
-    return budget_total + float(np.sqrt(sq))
+def _residual_from_messages(network: NetworkState, fields: Fields) -> float:
+    rows, cols = _topology(network.graph).triu
+    # tangent cone of the orthant: a contribution on the bound may not decrease
+    dW = np.where(network.W <= _ACTIVITY_TOL, np.maximum(fields.dW, 0.0), fields.dW)
+    dz = fields.dZ[:, rows, cols]
+    sq = fields.dmu @ fields.dmu + np.sum(dW * dW) + np.sum(dz * dz)
+    return float(np.abs(fields.dv).sum() + np.sqrt(sq))
 
 
 def objective_value(network: NetworkState) -> float:
     """Sum over nodes of the smoothed maximum eigenvalue of X_i."""
-    return float(
-        sum(
-            smoothed_max_eig(node_matrix(network, i), network.eps)
-            for i in range(1, network.graph.n + 1)
-        )
-    )
+    return float(smoothed_max_eig(node_matrices(network), network.eps).sum())
 
 
 def aggregate_augmented_lagrangian(network: NetworkState) -> float:
     """Network-wide augmented Lagrangian (damping 1); finite-difference
     oracle target for the node fields."""
-    total = 0.0
-    for i in range(1, network.graph.n + 1):
-        node = network.nodes[i - 1]
-        g = node.budget_violation()
-        total += (
-            smoothed_max_eig(node_matrix(network, i), network.eps)
-            + node.v * g
-            + 0.5 * g * g
-        )
-    return float(total)
+    g = network.budget_violation()
+    values = smoothed_max_eig(node_matrices(network), network.eps)
+    return float(np.sum(values + network.v * g + 0.5 * g * g))
 
 
 def assemble_weights(network: NetworkState) -> np.ndarray:
     """Total edge weights: each edge gets the sum of its endpoints' contributions."""
-    graph = network.graph
-    w = np.zeros(graph.num_edges)
-    for node in network.nodes:
-        for k, wk in node.w.items():
-            w[k - 1] += wk
-    return w
+    return network.W.sum(axis=0)
 
 
 def assembled_connectivity(network: NetworkState) -> float:
@@ -396,46 +230,26 @@ def assembled_connectivity(network: NetworkState) -> float:
 
 def contributions_vector(network: NetworkState) -> tuple:
     """All weight contributions in (node, edge label) lexicographic order."""
-    out = []
-    for i in range(1, network.graph.n + 1):
-        node = network.nodes[i - 1]
-        for k in network.graph.incident_edges(i):
-            out.append(float(node.w[k]))
-    return tuple(out)
+    return tuple(network.W[_topology(network.graph).mask].tolist())
 
 
 def initial_network(graph: Graph, eps: float) -> NetworkState:
-    """Default start: zero mu, z and v; each node spreads its budget uniformly."""
-    nodes = []
-    for i in range(1, graph.n + 1):
-        incident = graph.incident_edges(i)
-        share = 1.0 / len(incident)
-        nodes.append(
-            NodeState(
-                node=i,
-                mu=0.0,
-                w={k: share for k in incident},
-                z=np.zeros(num_basis(graph.n)),
-                v=0.0,
-            )
-        )
-    return NetworkState(graph=graph, nodes=tuple(nodes), eps=eps)
+    """Default start: zero mu, Z and v; each node spreads its budget uniformly."""
+    mask = _topology(graph).mask
+    n = graph.n
+    W = mask / mask.sum(axis=1, keepdims=True)
+    return NetworkState(graph, np.zeros(n), W, np.zeros((n, n, n)), np.zeros(n), eps)
 
 
 def random_network(graph: Graph, eps: float, rng: np.random.Generator) -> NetworkState:
-    """Arbitrary start: normal mu, z, v; uniform nonnegative contributions."""
-    nodes = []
-    for i in range(1, graph.n + 1):
-        nodes.append(
-            NodeState(
-                node=i,
-                mu=float(rng.standard_normal()),
-                w={k: float(rng.uniform(0.0, 1.0)) for k in graph.incident_edges(i)},
-                z=rng.standard_normal(num_basis(graph.n)),
-                v=float(rng.standard_normal()),
-            )
-        )
-    return NetworkState(graph=graph, nodes=tuple(nodes), eps=eps)
+    """Arbitrary start: normal mu, v and Z entries; uniform nonnegative contributions."""
+    mask = _topology(graph).mask
+    n = graph.n
+    mu = rng.standard_normal(n)
+    W = np.where(mask, rng.uniform(0.0, 1.0, mask.shape), 0.0)
+    upper = np.triu(rng.standard_normal((n, n, n)))
+    Z = upper + np.swapaxes(np.triu(upper, 1), 1, 2)
+    return NetworkState(graph, mu, W, Z, rng.standard_normal(n), eps)
 
 
 def simulate(
@@ -443,7 +257,6 @@ def simulate(
     eps: float,
     config: SolverConfig,
     init: Optional[NetworkState] = None,
-    threads: int = 1,
 ):
     """Run synchronous rounds until the network residual drops below tol.
 
@@ -453,53 +266,31 @@ def simulate(
     the ``dt``, ``max_steps``, ``tol`` and ``record_stride`` fields of the
     config apply; rounds always use the proximal Euler update.
     """
-    if init is None:
-        network = initial_network(graph, eps)
-    else:
-        if init.graph is not graph and init.graph.edges != graph.edges:
-            raise ValueError("init was built for a different graph")
-        network = init
+    if init is not None and init.graph is not graph and init.graph.edges != graph.edges:
+        raise ValueError("init was built for a different graph")
+    network = initial_network(graph, eps) if init is None else init
 
     history: list[HistoryPoint] = []
-
-    def record(net: NetworkState, rnd: int, resid: float) -> None:
-        history.append(
-            HistoryPoint(
-                round=rnd,
-                objective=objective_value(net),
-                lambda2=assembled_connectivity(net),
-                residual=resid,
-                contributions=contributions_vector(net),
+    rounds = 0
+    while True:
+        values, G = _broadcast(network)
+        fields = _fields(network, G)
+        residual = _residual_from_messages(network, fields)
+        done = residual <= config.tol or rounds >= config.max_steps
+        if done or rounds % config.record_stride == 0:
+            history.append(
+                HistoryPoint(
+                    round=rounds,
+                    objective=float(values.sum()),
+                    lambda2=assembled_connectivity(network),
+                    residual=residual,
+                    contributions=contributions_vector(network),
+                )
             )
-        )
-
-    pool = None
-    executor = None
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        executor = ThreadPoolExecutor(max_workers=threads)
-        pool = executor
-    try:
-        rounds = 0
-        last_recorded = -1
-        while True:
-            messages = _broadcast(network, pool)
-            residual = _residual_from_messages(network, messages)
-            if rounds % config.record_stride == 0:
-                record(network, rounds, residual)
-                last_recorded = rounds
-            if residual <= config.tol or rounds >= config.max_steps:
-                break
-            try:
-                network = _apply_round(network, config.dt, messages, pool)
-            except DivergenceError as err:
-                raise DivergenceError(f"round {rounds + 1}: {err}") from err
-            rounds += 1
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    if last_recorded != rounds:
-        record(network, rounds, residual)
-    return network, history
+        if done:
+            return network, history
+        try:
+            network = _apply_round(network, config.dt, fields)
+        except DivergenceError as err:
+            raise DivergenceError(f"round {rounds + 1}: {err}") from err
+        rounds += 1

@@ -8,45 +8,28 @@ a convex upper bound on lambda_max that is tight up to ``eps * log(N)``.
 Its gradient is the softmax-weighted sum of the spectral projectors, a
 symmetric PSD matrix of unit trace.  Everything is evaluated in max-shifted
 form so small ``eps`` never overflows the exponentials.
+
+Every function also accepts a stack of matrices of shape ``(..., n, n)``
+and then works on each matrix of the stack, with one batched ``eigh``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-# Components smaller than this are treated as zero when fixing eigenvector
-# signs; unit-norm vectors always have a component well above it.
-_SIGN_EPS = 1e-12
 
 
 def symmetrize(matrix) -> np.ndarray:
-    """Return (X + X^T)/2 as a fresh square float array.
+    """Return (X + X^T)/2 as a fresh float array, for a matrix or a stack.
 
     Raises if the input is not square or contains non-finite entries.
     """
     X = np.asarray(matrix, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("matrix contains non-finite entries")
     # halve before adding: finite inputs can never overflow the average
-    return X / 2.0 + X.T / 2.0
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full spectrum of a symmetric matrix.
-
-    ``eigenvalues`` are ascending; column ``i`` of ``eigenvectors`` pairs with
-    ``eigenvalues[i]``.  Signs are normalized so the first component of each
-    vector that exceeds ``1e-12`` in magnitude is positive, which makes the
-    decomposition deterministic.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    return X / 2.0 + np.swapaxes(X, -1, -2) / 2.0
 
 
 def _raw_eigh(matrix):
@@ -54,54 +37,47 @@ def _raw_eigh(matrix):
     return np.linalg.eigh(symmetrize(matrix))
 
 
-def symmetric_eigendecomposition(matrix) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix with a fixed sign convention."""
-    eigenvalues, eigenvectors = _raw_eigh(matrix)
-    eigenvectors = eigenvectors.copy()
-    for j in range(eigenvectors.shape[1]):
-        col = eigenvectors[:, j]
-        nonzero = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if nonzero.size and col[nonzero[0]] < 0:
-            eigenvectors[:, j] = -col
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+def _log_sum_exp(eigenvalues: np.ndarray, eps: float):
+    top = eigenvalues[..., -1]
+    shifted = (eigenvalues - top[..., None]) / eps
+    value = top + eps * np.log(np.exp(shifted).sum(axis=-1))
+    return float(value) if value.ndim == 0 else value
 
 
-def _softmax_weights(eigenvalues: np.ndarray, eps: float) -> np.ndarray:
-    shifted = (eigenvalues - eigenvalues[-1]) / eps
-    weights = np.exp(shifted)
-    return weights / weights.sum()
-
-
-def smoothed_max_eig(matrix, eps: float) -> float:
+def smoothed_max_eig(matrix, eps: float):
     """Log-sum-exp of the spectrum: a smooth upper bound on lambda_max.
 
     Parameters
     ----------
     matrix : array_like
-        Symmetric matrix (symmetrized defensively).
+        Symmetric matrix (symmetrized defensively), or a stack of them.
     eps : float
         Positive smoothing temperature.  The result lies in
         ``[lambda_max, lambda_max + eps*log(N)]``.
+
+    Returns a float for one matrix and an array of shape ``(...)`` for a
+    stack.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     lam, _ = _raw_eigh(matrix)
-    shifted = (lam - lam[-1]) / eps
-    return float(lam[-1] + eps * np.log(np.exp(shifted).sum()))
+    return _log_sum_exp(lam, eps)
 
 
-def smoothed_max_eig_grad(matrix, eps: float) -> np.ndarray:
+def smoothed_max_eig_grad(matrix, eps: float, return_value: bool = False):
     """Gradient of :func:`smoothed_max_eig` with respect to the matrix.
 
     Returns the softmax-weighted sum of eigenvector outer products: a
-    symmetric PSD matrix with unit trace.  Invariant to eigenvector sign
-    choices by construction.
+    symmetric PSD matrix with unit trace (one per matrix of a stack).
+    Invariant to eigenvector sign choices by construction.  With
+    ``return_value`` the result is ``(value, gradient)``, both from the
+    same eigendecomposition.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     lam, U = _raw_eigh(matrix)
-    weights = _softmax_weights(lam, eps)
-    grad = (U * weights) @ U.T
-    return (grad + grad.T) / 2.0
+    weights = np.exp((lam - lam[..., -1:]) / eps)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    grad = (U * weights[..., None, :]) @ np.swapaxes(U, -1, -2)
+    grad = (grad + np.swapaxes(grad, -1, -2)) / 2.0
+    return (_log_sum_exp(lam, eps), grad) if return_value else grad

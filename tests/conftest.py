@@ -1,19 +1,20 @@
-"""Shared test helpers: random connected graphs, the finite-difference
-oracle for the distributed node fields, and the matrix-exponential oracle
-for integrator orders."""
+"""Shared test helpers: random connected graphs, a per-node reference and
+the finite-difference oracle for the distributed node fields, and the
+matrix-exponential oracle for integrator orders."""
+
+import dataclasses
 
 import numpy as np
 from scipy.linalg import expm
 
 from pdflow.connectivity import (
     NetworkState,
-    NodeState,
     aggregate_augmented_lagrangian,
-    make_message,
-    num_basis,
+    network_fields,
 )
 from pdflow.flow import FlowState, Objective, ProblemSpec
-from pdflow.graphs import Graph
+from pdflow.graphs import Graph, edge_matrix
+from pdflow.spectral import smoothed_max_eig_grad
 from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 
@@ -104,81 +105,119 @@ def random_connected_graph(rng, min_nodes=2, max_nodes=4) -> Graph:
     return Graph(n, edges)
 
 
-def replace_node(network: NetworkState, i: int, **changes) -> NetworkState:
-    node = network.nodes[i - 1]
-    fields = dict(node=i, mu=node.mu, w=node.w, z=node.z, v=node.v)
-    fields.update(changes)
-    nodes = list(network.nodes)
-    nodes[i - 1] = NodeState(**fields)
-    return NetworkState(graph=network.graph, nodes=tuple(nodes), eps=network.eps)
+def with_node(network: NetworkState, i: int, **rows) -> NetworkState:
+    """A copy of ``network`` with node i's row of the named arrays replaced."""
+    arrays = {}
+    for name, row in rows.items():
+        array = np.array(getattr(network, name))
+        array[i - 1] = row
+        arrays[name] = array
+    return dataclasses.replace(network, **arrays)
 
 
-def inbox_for(network: NetworkState, i: int):
-    return [make_message(network, j) for j in network.graph.neighbors(i)]
+# ------------------------------------------------- per-node reference
+
+def num_basis(n: int) -> int:
+    """Dimension of the space of symmetric n x n matrices."""
+    return n * (n + 1) // 2
 
 
-def unprojected_fields(network: NetworkState, i: int):
-    """Raw (pre-projection) field values, via the message-passing surface."""
-    from pdflow.connectivity import (
-        _assemble_matrix,
-        _raw_fields,
-        coeffs_to_matrix,
-    )
-    from pdflow.spectral import smoothed_max_eig_grad
+def symmetric_basis(l: int, n: int) -> np.ndarray:
+    """The l-th canonical basis matrix of symmetric n x n matrices.
 
-    graph = network.graph
-    node = network.nodes[i - 1]
-    msgs = {m.sender: m for m in inbox_for(network, i)}
-    nbrs = graph.neighbors(i)
-    Z_own = coeffs_to_matrix(node.z, graph.n)
-    X = _assemble_matrix(graph, node, Z_own, [msgs[j].Z for j in nbrs])
-    G_own = smoothed_max_eig_grad(X, network.eps)
-    return _raw_fields(graph, node, G_own, [msgs[j].G for j in nbrs])
+    Index l (1-based) enumerates upper-triangle positions (p, q), p <= q, in
+    row-major order; the matrix has ones at (p, q) and (q, p).
+    """
+    if not 1 <= l <= num_basis(n):
+        raise ValueError(f"basis index {l} out of range 1..{num_basis(n)}")
+    rows, cols = np.triu_indices(n)
+    B = np.zeros((n, n))
+    B[rows[l - 1], cols[l - 1]] = B[cols[l - 1], rows[l - 1]] = 1.0
+    return B
 
+
+def reference_node_matrix(network: NetworkState, i: int) -> np.ndarray:
+    """X_i = -mu_i 11^T - sum_{k incident} w_ik E_k + sum_{j ~ i} (Z_i - Z_j),
+    term by term."""
+    graph, n = network.graph, network.graph.n
+    X = -network.mu[i - 1] * np.ones((n, n))
+    for k in graph.incident_edges(i):
+        X -= network.W[i - 1, k - 1] * edge_matrix(graph, k)
+    for j in graph.neighbors(i):
+        X += network.Z[i - 1] - network.Z[j - 1]
+    return X
+
+
+def reference_fields(network: NetworkState):
+    """Unprojected fields (dmu, dW, dZ, dv), one node at a time.
+
+    Node i uses only its own variables and its neighbors' Z_j and G_j; the
+    z field is assembled from its symmetric-basis coefficients
+    dz_l = -trace(S_i B_l), with S_i = sum_{j ~ i} (G_i - G_j).
+    """
+    graph, n = network.graph, network.graph.n
+    G = [smoothed_max_eig_grad(reference_node_matrix(network, i), network.eps)
+         for i in range(1, n + 1)]
+    dmu, dv = np.zeros(n), np.zeros(n)
+    dW, dZ = np.zeros((n, graph.num_edges)), np.zeros((n, n, n))
+    for i in range(1, n + 1):
+        incident = graph.incident_edges(i)
+        g = sum(network.W[i - 1, k - 1] for k in incident) - 1.0
+        dmu[i - 1] = G[i - 1].sum()
+        for k in incident:
+            dW[i - 1, k - 1] = (
+                np.trace(G[i - 1] @ edge_matrix(graph, k)) - network.v[i - 1] - g
+            )
+        S = sum(G[i - 1] - G[j - 1] for j in graph.neighbors(i))
+        for l in range(1, num_basis(n) + 1):
+            B = symmetric_basis(l, n)
+            dZ[i - 1] += -np.trace(S @ B) * B
+        dv[i - 1] = g
+    return dmu, dW, dZ, dv
+
+
+# ------------------------------------------------- finite-difference oracle
 
 def worst_field_fd_error(network: NetworkState) -> float:
     """Largest relative gap between the analytic node fields and central
-    finite differences of the aggregate augmented Lagrangian."""
-    graph = network.graph
+    finite differences of the aggregate augmented Lagrangian.
+
+    A z coefficient moves Z_i[p, q] and Z_i[q, p] together, as the
+    symmetric basis matrix of position (p, q) does.
+    """
+    graph, n = network.graph, network.graph.n
     La = aggregate_augmented_lagrangian
+    fields = network_fields(network)
     worst = 0.0
 
     def rel(analytic, fd):
         return abs(-fd - analytic) / max(1.0, abs(analytic))
 
-    for i in range(1, graph.n + 1):
-        node = network.nodes[i - 1]
-        dmu, dw_raw, dz, dv = unprojected_fields(network, i)
-
-        h = 1e-6 * (1.0 + abs(node.mu))
-        fd = (
-            La(replace_node(network, i, mu=node.mu + h))
-            - La(replace_node(network, i, mu=node.mu - h))
+    def central(i, name, row, direction, h):
+        return (
+            La(with_node(network, i, **{name: row + h * direction}))
+            - La(with_node(network, i, **{name: row - h * direction}))
         ) / (2 * h)
-        worst = max(worst, rel(dmu, fd))
+
+    for i in range(1, n + 1):
+        mu, W, Z = network.mu[i - 1], network.W[i - 1], network.Z[i - 1]
+        fd = central(i, "mu", mu, 1.0, 1e-6 * (1.0 + abs(mu)))
+        worst = max(worst, rel(fields.dmu[i - 1], fd))
 
         for k in graph.incident_edges(i):
-            h = 1e-6 * (1.0 + abs(node.w[k]))
-            wp, wm = dict(node.w), dict(node.w)
-            wp[k] += h
-            wm[k] -= h
-            fd = (
-                La(replace_node(network, i, w=wp)) - La(replace_node(network, i, w=wm))
-            ) / (2 * h)
-            worst = max(worst, rel(dw_raw[k], fd))
+            direction = np.zeros(graph.num_edges)
+            direction[k - 1] = 1.0
+            fd = central(i, "W", W, direction, 1e-6 * (1.0 + abs(W[k - 1])))
+            worst = max(worst, rel(fields.dW[i - 1, k - 1], fd))
 
-        for l in range(num_basis(graph.n)):
-            h = 1e-6 * (1.0 + abs(node.z[l]))
-            zp, zm = node.z.copy(), node.z.copy()
-            zp[l] += h
-            zm[l] -= h
-            fd = (
-                La(replace_node(network, i, z=zp)) - La(replace_node(network, i, z=zm))
-            ) / (2 * h)
-            worst = max(worst, rel(dz[l], fd))
+        for p, q in zip(*np.triu_indices(n)):
+            direction = np.zeros((n, n))
+            direction[p, q] = direction[q, p] = 1.0
+            fd = central(i, "Z", Z, direction, 1e-6 * (1.0 + abs(Z[p, q])))
+            worst = max(worst, rel(fields.dZ[i - 1, p, q], fd))
 
-        # the dual field is +dL/dv and linear in v, so it must match exactly
-        assert abs(dv - node.budget_violation()) == 0.0
+    # the dual field is +dL/dv and linear in v, so it must match exactly
+    assert np.array_equal(fields.dv, network.budget_violation())
     return worst
 
 

@@ -125,10 +125,10 @@ def test_criterion_3_example3_p3(ex3_run):
     assert final.residual <= 1e-4
     assert elapsed < 30.0
     contributions = {
-        (1, 1): network.nodes[0].w[1],
-        (2, 1): network.nodes[1].w[1],
-        (2, 2): network.nodes[1].w[2],
-        (3, 2): network.nodes[2].w[2],
+        (1, 1): network.W[0, 0],
+        (2, 1): network.W[1, 0],
+        (2, 2): network.W[1, 1],
+        (3, 2): network.W[2, 1],
     }
     assert abs(contributions[(1, 1)] - 1.0) <= 0.05
     assert abs(contributions[(3, 2)] - 1.0) <= 0.05
@@ -280,7 +280,7 @@ def test_invariant_budget_decay(ex3_run, ex4_run):
     # the total budget violation at the final state sits below the stop tol
     for run, tol in ((ex3_run, 1e-4), (ex4_run, 1e-3)):
         network = run[1]
-        violation = sum(abs(node.budget_violation()) for node in network.nodes)
+        violation = np.abs(network.budget_violation()).sum()
         assert violation <= tol
 
 

@@ -204,6 +204,19 @@ class TestConnectivityCommand:
         assert main(["connectivity", str(graph_path)]) == EXIT_INPUT
         assert "not connected" in capsys.readouterr().err
 
+    def test_single_node_graph(self, tmp_path, capsys):
+        graph_path = tmp_path / "one.txt"
+        graph_path.write_text("1\n")
+        assert main(["connectivity", str(graph_path)]) == EXIT_INPUT
+        assert "connectivity needs at least 2 nodes" in capsys.readouterr().err
+
+    def test_threads_option_removed(self, tmp_path):
+        graph_path = tmp_path / "p3.txt"
+        graph_path.write_text(P3_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main(["connectivity", str(graph_path), "--threads", "2"])
+        assert exc.value.code == EXIT_INPUT
+
     def test_seed_reproducible(self, tmp_path):
         graph_path = tmp_path / "p3.txt"
         graph_path.write_text(P3_TEXT)

@@ -6,8 +6,8 @@ import pytest
 
 from pdflow.spectral import (
     smoothed_max_eig,
+    _raw_eigh,
     smoothed_max_eig_grad,
-    symmetric_eigendecomposition,
     symmetrize,
 )
 
@@ -32,47 +32,40 @@ class TestSymmetrize:
 
 
 class TestEigendecomposition:
+    """The ascending eigh under the smoothing: its last eigenvalue is the
+    shift of every log-sum-exp, for one matrix and for a stack."""
+
     def test_identity(self):
-        eig = symmetric_eigendecomposition(np.eye(3))
-        assert np.allclose(eig.eigenvalues, [1.0, 1.0, 1.0], atol=1e-14)
+        lam, _ = _raw_eigh(np.eye(3))
+        assert np.allclose(lam, [1.0, 1.0, 1.0], atol=1e-14)
 
     def test_diagonal_sorted_with_coordinate_vectors(self):
-        eig = symmetric_eigendecomposition(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
-        # eigenvectors are the coordinate axes, sign-normalized
+        lam, U = _raw_eigh(np.diag([3.0, 1.0, 2.0]))
+        assert np.allclose(lam, [1.0, 2.0, 3.0], atol=1e-14)
+        # eigenvectors are the coordinate axes, up to sign
         expected = np.zeros((3, 3))
         expected[1, 0] = expected[2, 1] = expected[0, 2] = 1.0
-        assert np.allclose(eig.eigenvectors, expected, atol=1e-14)
+        assert np.allclose(np.abs(U), expected, atol=1e-14)
 
     def test_path_graph_laplacian_spectrum(self):
         # eigenvalues 0, 1, 3 from the characteristic polynomial
         L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        eig = symmetric_eigendecomposition(L)
-        assert np.allclose(eig.eigenvalues, [0.0, 1.0, 3.0], atol=1e-12)
+        lam, _ = _raw_eigh(np.stack([L, 2.0 * L]))
+        assert np.allclose(lam, [[0.0, 1.0, 3.0], [0.0, 2.0, 6.0]], atol=1e-12)
 
     def test_invariants_on_random_matrices(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = rng.integers(2, 9)
-            X = random_symmetric(rng, n)
-            eig = symmetric_eigendecomposition(X)
-            lam, U = eig.eigenvalues, eig.eigenvectors
-            assert np.all(np.diff(lam) >= 0)
-            norm = 1.0 + np.linalg.norm(X)
-            for i in range(n):
-                assert np.linalg.norm(X @ U[:, i] - lam[i] * U[:, i]) <= 1e-8 * norm
-            assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-10
-
-    def test_sign_convention_deterministic(self):
-        rng = np.random.default_rng(22)
-        X = random_symmetric(rng, 5)
-        a = symmetric_eigendecomposition(X)
-        b = symmetric_eigendecomposition(X.copy())
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
-        for j in range(5):
-            col = a.eigenvectors[:, j]
-            first = col[np.abs(col) > 1e-12][0]
-            assert first > 0
+            X = np.stack([random_symmetric(rng, n) for _ in range(3)])
+            lam, U = _raw_eigh(X)
+            assert np.all(np.diff(lam, axis=-1) >= 0)
+            for k in range(3):
+                norm = 1.0 + np.linalg.norm(X[k])
+                for i in range(n):
+                    residual = X[k] @ U[k, :, i] - lam[k, i] * U[k, :, i]
+                    assert np.linalg.norm(residual) <= 1e-8 * norm
+                assert np.abs(U[k].T @ U[k] - np.eye(n)).max() <= 1e-10
 
 
 class TestSmoothedMaxEig:
@@ -177,8 +170,7 @@ class TestSmoothedMaxEigGrad:
         rng = np.random.default_rng(28)
         X = random_symmetric(rng, 5)
         eps = 0.5
-        eig = symmetric_eigendecomposition(X)
-        lam, U = eig.eigenvalues, eig.eigenvectors
+        lam, U = np.linalg.eigh(X)
         w = np.exp((lam - lam[-1]) / eps)
         w = w / w.sum()
         expected = sum(w[i] * np.outer(U[:, i], U[:, i]) for i in range(5))
@@ -196,3 +188,20 @@ class TestSmoothedMaxEigGrad:
         G = smoothed_max_eig_grad(X, 0.05)
         P_top = Q[:, :2] @ Q[:, :2].T
         assert np.abs(G - P_top / 2.0).max() <= 1e-8
+
+
+class TestStacks:
+    def test_stack_matches_single_matrices(self):
+        # a stack is one batched eigh; each slice equals the single-matrix call
+        rng = np.random.default_rng(30)
+        X = np.stack([random_symmetric(rng, 4) for _ in range(5)])
+        values, G = smoothed_max_eig_grad(X, 0.3, return_value=True)
+        assert G.shape == (5, 4, 4) and values.shape == (5,)
+        assert np.array_equal(smoothed_max_eig(X, 0.3), values)
+        for i in range(5):
+            assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.3))
+            assert values[i] == smoothed_max_eig(X[i], 0.3)
+
+    def test_symmetrize_stack(self):
+        X = np.array([[[1.0, 2.0], [0.0, 3.0]], [[0.0, 4.0], [2.0, 0.0]]])
+        assert np.array_equal(symmetrize(X)[1], np.array([[0.0, 3.0], [3.0, 0.0]]))

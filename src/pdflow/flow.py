@@ -325,11 +325,6 @@ def _solve_euler(problem, config, x0, v0, t0) -> SolveResult:
     project = problem.set.project
     tangent = problem.set._tangent
     dt, tol = config.dt, config.tol
-    stride, max_steps = config.record_stride, config.max_steps
-    sqrt, isfinite = math.sqrt, math.isfinite
-    # 0 * inf and 0 * nan are nan, so a dot product with zeros is finite
-    # exactly when every entry of the other vector is
-    zeros_x, zeros_v = np.zeros(x0.size), np.zeros(v0.size)
 
     trajectory: list[TrajectoryPoint] = []
     record = _make_recorder(problem, trajectory)
@@ -344,24 +339,22 @@ def _solve_euler(problem, config, x0, v0, t0) -> SolveResult:
         steps = 0
         last_recorded = -1
         while True:
-            feasibility = sqrt(r.dot(r))
-            due = steps % stride == 0
-            if due or feasibility <= tol or steps >= max_steps:
+            feasibility = math.sqrt(r.dot(r))
+            due = steps % config.record_stride == 0
+            if due or feasibility <= tol or steps >= config.max_steps:
                 stationarity = tangent(x, q)
-                residual = sqrt(stationarity.dot(stationarity)) + feasibility
+                residual = math.sqrt(stationarity.dot(stationarity)) + feasibility
                 if due:
                     record(t, x, v, residual)
                     last_recorded = steps
-                if residual <= tol or steps >= max_steps:
+                if residual <= tol or steps >= config.max_steps:
                     break
-            penalty = AT.dot(r)
-            # multiplying by rho = 1.0 is exact, so skipping it changes no bit
-            y = q - (penalty if rho == 1.0 else rho * penalty)
+            y = q - rho * AT.dot(r)
             x = project(x + dt * y)
             v = v + dt * r
             t += dt
             steps += 1
-            if not isfinite(x.dot(zeros_x) + v.dot(zeros_v)):
+            if not (np.isfinite(x).all() and np.isfinite(v).all()):
                 raise DivergenceError(
                     f"non-finite iterate at step {steps}; try a smaller dt than {dt:g}"
                 )

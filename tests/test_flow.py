@@ -311,6 +311,24 @@ class TestSolve:
         assert np.array_equal(res.final.v, s.v)
         assert res.residual == kkt_residual(p, s)
 
+    @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
+    def test_stops_at_first_step_within_tol(self, tol):
+        # a stride longer than the run, so the stopping step is never a
+        # recorded one and the residual test runs on its own
+        p = example1_problem()
+        cfg = SolverConfig(dt=1e-2, max_steps=10_000, tol=tol, record_stride=10**6)
+        init = FlowState(x=np.array([6.0, -2.0]), v=np.array([1.0]))
+        res = solve(p, cfg, init)
+        s = init
+        steps = 0
+        while kkt_residual(p, s) > tol:
+            s = euler_step(p, s, cfg.dt)
+            steps += 1
+        assert res.converged and res.steps_taken == steps
+        assert np.array_equal(res.final.x, s.x)
+        assert np.array_equal(res.final.v, s.v)
+        assert res.residual == kkt_residual(p, s)
+
     def test_divergence_error_names_step(self):
         p = quadratic_free_problem(q=1.0, a=1.0)
         with pytest.raises(DivergenceError, match="step"):

@@ -19,7 +19,7 @@ zero Laplacian entries keep each node's update local.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -264,11 +264,12 @@ def simulate(
     :class:`HistoryPoint` rows every ``record_stride`` rounds plus the final
     one, so the last row carries the final round count and residual.  Only
     the ``dt``, ``max_steps``, ``tol`` and ``record_stride`` fields of the
-    config apply; rounds always use the proximal Euler update.
+    config apply; rounds always use the proximal Euler update.  ``init``
+    supplies the starting arrays (a warm start); the rounds run at ``eps``.
     """
     if init is not None and init.graph is not graph and init.graph.edges != graph.edges:
         raise ValueError("init was built for a different graph")
-    network = initial_network(graph, eps) if init is None else init
+    network = initial_network(graph, eps) if init is None else replace(init, eps=eps)
 
     history: list[HistoryPoint] = []
     rounds = 0

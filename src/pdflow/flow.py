@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,12 +33,19 @@ class DivergenceError(RuntimeError):
     """The iteration produced non-finite values, typically because dt is too large."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Objective:
-    """Objective function given by a value callable and a gradient callable."""
+    """Objective function given by a value callable and a gradient callable.
+
+    ``linear`` and ``quadratic`` also keep ``(Q, c)`` of the gradient
+    ``Q x + c`` (``Q`` None if linear) for the solver's kernel; without ``c``
+    the gradient callable is evaluated on every step.
+    """
 
     evaluate: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    Q: Optional[np.ndarray] = None
+    c: Optional[np.ndarray] = None
 
     @staticmethod
     def linear(c) -> "Objective":
@@ -47,6 +55,7 @@ class Objective:
         return Objective(
             evaluate=lambda x: float(c @ x),
             gradient=lambda x: c,  # constant, shared read-only array
+            c=c,
         )
 
     @staticmethod
@@ -67,6 +76,8 @@ class Objective:
         return Objective(
             evaluate=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
             gradient=lambda x: Q @ x + c,
+            Q=Q,
+            c=c,
         )
 
 
@@ -112,6 +123,35 @@ class ProblemSpec:
     @property
     def num_constraints(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def _field(self):
+        """``field(s, out)`` writes the unprojected field at ``s = [x; v]``,
+        ``K s + g0`` with ``K = [[-Q - rho A^T A, -A^T], [A, 0]]`` and
+        ``g0 = [rho A^T b - c; -b]``, into ``out``.  Without ``(Q, c)`` the
+        objective's ``-grad f(x)`` is added to the x-slice instead.
+        """
+        A, n, m, rho, objective = self.A, self.dim, self.num_constraints, self.rho, self.objective
+        K = np.zeros((n + m, n + m))
+        xx = K[:n, :n]
+        np.matmul(A.T, A, out=xx)
+        xx *= -rho
+        g0 = np.concatenate([rho * A.T.dot(self.b), -self.b])
+        if objective.c is not None:  # folded: Q x + c is the whole gradient
+            g0[:n] -= objective.c
+            if objective.Q is not None:
+                xx -= objective.Q
+        np.negative(A.T, out=K[:n, n:])
+        K[n:, :n] = A
+
+        def field(s, out):
+            K.dot(s, out=out)
+            out += g0
+            if objective.c is None:
+                out[:n] -= objective.gradient(s[:n])
+            return out
+
+        return field
 
 
 @dataclass(frozen=True)
@@ -185,17 +225,11 @@ def augmented_lagrangian(problem: ProblemSpec, x, v) -> float:
     return lagrangian(problem, x, v) + 0.5 * problem.rho * float(r @ r)
 
 
-def _descent_direction(problem: ProblemSpec, x, v) -> np.ndarray:
-    """-grad f(x) - A^T v - rho * A^T (A x - b), unprojected."""
-    r = problem.A @ x - problem.b
-    return -problem.objective.gradient(x) - problem.A.T @ v - problem.rho * (problem.A.T @ r)
-
-
 def primal_field(problem: ProblemSpec, x, v) -> np.ndarray:
     """Primal velocity: the descent direction projected onto the tangent cone at x."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return problem.set.project_tangent(x, _descent_direction(problem, x, v))
+    s = np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
+    g = problem._field(s, np.empty_like(s))
+    return problem.set.project_tangent(s[: problem.dim], g[: problem.dim])
 
 
 def dual_field(problem: ProblemSpec, x) -> np.ndarray:
@@ -204,53 +238,70 @@ def dual_field(problem: ProblemSpec, x) -> np.ndarray:
     return problem.A @ x - problem.b
 
 
-def euler_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
-    """Forward-Euler step in proximal form.
+def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
+    """The state ``s = [x0; v0]`` and a function advancing it in place by one step.
 
-    The primal update projects the full Euler point onto the set,
-    x+ = P_K(x - dt * y) with y the augmented-Lagrangian gradient, so the new
-    iterate is exactly feasible; the dual update is a plain Euler step.
+    Euler is proximal: ``s += dt * field(s)``, then the x-slice is projected
+    onto the set.  Heun and RK4 project each stage field's x-slice onto the
+    tangent cone at its stage point, and each stage point onto the set.
     """
-    x, v = state.x, state.v
-    x_new = problem.set.project(x + dt * _descent_direction(problem, x, v))
-    v_new = v + dt * (problem.A @ x - problem.b)
-    return FlowState(x=x_new, v=v_new, t=state.t + dt)
+    n, field = problem.dim, problem._field
+    project, tangent = problem.set.project, problem.set._tangent
+    s = np.concatenate([x0, v0])
+    u, k1, k2, k3, k4 = np.empty((5, s.size))
+    x = s[:n]
+
+    def stage(point, out):  # the projected field at a stage point
+        field(point, out)
+        out[:n] = tangent(point[:n], out[:n])
+        return out
+
+    def move(k, h, out):  # out = s + h k, x-slice projected onto the set
+        np.add(s, h * k, out=out)
+        out[:n] = project(out[:n])
+        return out
+
+    def euler():  # move(field(s, k1), dt, s) without its temporaries
+        g = field(s, k1)
+        g *= dt
+        np.add(s, g, out=s)
+        x[...] = project(x)
+
+    def heun():
+        stage(move(stage(s, k1), dt, u), k2)
+        move(k1 + k2, dt / 2.0, s)
+
+    def rk4():
+        stage(move(stage(s, k1), dt / 2.0, u), k2)
+        stage(move(k2, dt / 2.0, u), k3)
+        stage(move(k3, dt, u), k4)
+        move(k1 + 2.0 * k2 + 2.0 * k3 + k4, dt / 6.0, s)
+
+    return s, {"euler": euler, "heun": heun, "rk4": rk4}[integrator]
 
 
-def _stage(problem: ProblemSpec, x, v):
-    kx = problem.set.project_tangent(x, _descent_direction(problem, x, v))
-    kv = problem.A @ x - problem.b
-    return kx, kv
+def _step(problem: ProblemSpec, state: FlowState, dt: float, integrator: str) -> FlowState:
+    s, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    advance()
+    return FlowState(x=s[: problem.dim], v=s[problem.dim :], t=state.t + dt)
+
+
+def euler_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
+    """Forward-Euler step in proximal form, x+ = P_K(x - dt * y) with y the
+    augmented-Lagrangian gradient; the dual update is a plain Euler step."""
+    return _step(problem, state, dt, "euler")
 
 
 def heun_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
     """Two-stage Heun step on the projected field; stage and final primal
     points are re-projected onto the set."""
-    P = problem.set.project
-    x, v = state.x, state.v
-    k1x, k1v = _stage(problem, x, v)
-    x1 = P(x + dt * k1x)
-    k2x, k2v = _stage(problem, x1, v + dt * k1v)
-    x_new = P(x + dt / 2.0 * (k1x + k2x))
-    v_new = v + dt / 2.0 * (k1v + k2v)
-    return FlowState(x=x_new, v=v_new, t=state.t + dt)
+    return _step(problem, state, dt, "heun")
 
 
 def rk4_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
     """Classical four-stage Runge-Kutta step on the projected field; stage
     and final primal points are re-projected onto the set."""
-    P = problem.set.project
-    x, v = state.x, state.v
-    k1x, k1v = _stage(problem, x, v)
-    k2x, k2v = _stage(problem, P(x + dt / 2.0 * k1x), v + dt / 2.0 * k1v)
-    k3x, k3v = _stage(problem, P(x + dt / 2.0 * k2x), v + dt / 2.0 * k2v)
-    k4x, k4v = _stage(problem, P(x + dt * k3x), v + dt * k3v)
-    x_new = P(x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x))
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return FlowState(x=x_new, v=v_new, t=state.t + dt)
-
-
-_STEPPERS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
+    return _step(problem, state, dt, "rk4")
 
 
 def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
@@ -283,83 +334,50 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     is acceptable.  The trajectory records (t, x, v, objective, residual)
     every ``record_stride`` steps plus the final state.  Raises
     :class:`DivergenceError` if an iterate stops being finite.
+
+    Bit for bit, this iterates and stops like the configured stepper with
+    :func:`kkt_residual`, which is evaluated in full only on recorded steps
+    or once feasibility alone is within ``tol`` (before, the sum exceeds it).
     """
-    x0 = problem.set.project(np.asarray(init.x, dtype=float))
+    n = problem.dim
     v0 = np.asarray(init.v, dtype=float)
     if v0.shape != (problem.num_constraints,):
         raise ValueError(
             f"dual init must have {problem.num_constraints} entries, got shape {v0.shape}"
         )
-    if config.integrator == "euler":
-        return _solve_euler(problem, config, x0, v0, float(init.t))
-    return _solve_generic(problem, config, FlowState(x=x0, v=v0, t=float(init.t)))
-
-
-def _make_recorder(problem: ProblemSpec, trajectory: list):
-    def record(t: float, x: np.ndarray, v: np.ndarray, res: float) -> None:
-        trajectory.append(
-            TrajectoryPoint(
-                t=t,
-                x=x.copy(),
-                v=v.copy(),
-                objective=float(problem.objective.evaluate(x)),
-                residual=res,
-            )
-        )
-
-    return record
-
-
-def _solve_euler(problem, config, x0, v0, t0) -> SolveResult:
-    """Euler loop with the step and residual computations fused.
-
-    Produces bit-for-bit the same iterates and residuals as repeatedly
-    calling :func:`euler_step` and :func:`kkt_residual`; the fusion only
-    avoids recomputing the gradient and the constraint violation twice per
-    step.  The stationarity term of the residual is evaluated only when the
-    step is recorded or could be the last one: while the feasibility term
-    alone exceeds ``tol``, so does their sum, and the loop cannot stop.
-    """
-    A, AT, b, rho = problem.A, problem.A.T, problem.b, problem.rho
-    grad = problem.objective.gradient
-    project = problem.set.project
-    tangent = problem.set._tangent
+    x0 = problem.set.project(np.asarray(init.x, dtype=float))
+    s, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
+    x, v = s[:n], s[n:]
+    A, AT, b = problem.A, problem.A.T, problem.b
+    grad, tangent = problem.objective.gradient, problem.set._tangent
     dt, tol = config.dt, config.tol
 
     trajectory: list[TrajectoryPoint] = []
     record = _make_recorder(problem, trajectory)
-
-    x, v, t = x0, v0, t0
+    t, steps, last_recorded = float(init.t), 0, -1
     # divergence is detected by the explicit finiteness check; silence the
     # transient overflow warnings that precede it
     with np.errstate(over="ignore", invalid="ignore"):
-        # ndarray.dot is the BLAS call behind @, with less dispatch overhead
-        r = A.dot(x) - b
-        q = -grad(x) - AT.dot(v)  # shared by the residual and the update
-        steps = 0
-        last_recorded = -1
         while True:
+            # kkt_residual's arithmetic; ndarray.dot is @ with less dispatch
+            r = A.dot(x) - b
             feasibility = math.sqrt(r.dot(r))
             due = steps % config.record_stride == 0
             if due or feasibility <= tol or steps >= config.max_steps:
-                stationarity = tangent(x, q)
+                stationarity = tangent(x, -grad(x) - AT.dot(v))
                 residual = math.sqrt(stationarity.dot(stationarity)) + feasibility
                 if due:
                     record(t, x, v, residual)
                     last_recorded = steps
                 if residual <= tol or steps >= config.max_steps:
                     break
-            y = q - rho * AT.dot(r)
-            x = project(x + dt * y)
-            v = v + dt * r
+            advance()
             t += dt
             steps += 1
-            if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            if not np.isfinite(s).all():
                 raise DivergenceError(
                     f"non-finite iterate at step {steps}; try a smaller dt than {dt:g}"
                 )
-            r = A.dot(x) - b
-            q = -grad(x) - AT.dot(v)
     if last_recorded != steps:
         record(t, x, v, residual)
     return SolveResult(
@@ -371,32 +389,9 @@ def _solve_euler(problem, config, x0, v0, t0) -> SolveResult:
     )
 
 
-def _solve_generic(problem, config, state: FlowState) -> SolveResult:
-    stepper = _STEPPERS[config.integrator]
-    trajectory: list[TrajectoryPoint] = []
-    record = _make_recorder(problem, trajectory)
+def _make_recorder(problem: ProblemSpec, trajectory: list):
+    def record(t: float, x: np.ndarray, v: np.ndarray, res: float) -> None:
+        objective = float(problem.objective.evaluate(x))
+        trajectory.append(TrajectoryPoint(t, x.copy(), v.copy(), objective, res))
 
-    residual = kkt_residual(problem, state)
-    record(state.t, state.x, state.v, residual)
-    steps = 0
-    last_recorded = 0
-    while residual > config.tol and steps < config.max_steps:
-        state = stepper(problem, state, config.dt)
-        steps += 1
-        if not (np.isfinite(state.x).all() and np.isfinite(state.v).all()):
-            raise DivergenceError(
-                f"non-finite iterate at step {steps}; try a smaller dt than {config.dt:g}"
-            )
-        residual = kkt_residual(problem, state)
-        if steps % config.record_stride == 0:
-            record(state.t, state.x, state.v, residual)
-            last_recorded = steps
-    if last_recorded != steps:
-        record(state.t, state.x, state.v, residual)
-    return SolveResult(
-        final=state,
-        converged=residual <= config.tol,
-        residual=residual,
-        steps_taken=steps,
-        trajectory=trajectory,
-    )
+    return record

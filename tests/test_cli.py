@@ -3,10 +3,15 @@ determinism under a fixed seed."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdflow
 from pdflow.cli import (
     EXIT_CONVERGED,
     EXIT_DIVERGED,
@@ -277,3 +282,19 @@ class TestExamplesCommand:
         assert code == EXIT_CONVERGED
         _, rows = read_csv(tmp_path / "example2_trajectory.csv")
         assert abs(float(rows[-1][-2]) + 76.0) <= 1e-1  # objective column
+
+    def test_python_dash_m_from_checkout(self, tmp_path):
+        # python -m pdflow finds the package on PYTHONPATH alone, as from a
+        # checkout's src/ without installing it
+        src = str(Path(pdflow.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdflow", "examples", "example1", "--output", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_CONVERGED, proc.stderr
+        assert "converged:      yes" in proc.stdout
+        assert (tmp_path / "example1_trajectory.csv").exists()

@@ -321,6 +321,15 @@ class TestSimulate:
         assert [h.round for h in hist] == [0, 20, 40, 50]
         assert len(hist[0].contributions) == 4
 
+    def test_init_runs_at_eps_argument(self):
+        # init supplies the starting arrays; the run uses the eps argument
+        cfg = SolverConfig(dt=1e-2, max_steps=5, tol=1e-30)
+        warm_net, warm = simulate(P3, 0.5, cfg, init=initial_network(P3, 1e-3))
+        cold_net, cold = simulate(P3, 0.5, cfg)
+        assert warm[0].objective == cold[0].objective
+        assert warm_net.eps == 0.5
+        assert_same_state(warm_net, cold_net)
+
     def test_rejects_foreign_init(self):
         cfg = SolverConfig(dt=1e-2, max_steps=10, tol=1e-6)
         init = initial_network(K2, 1e-3)

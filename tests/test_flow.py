@@ -5,6 +5,8 @@ integrator orders are checked against a matrix-exponential oracle on an
 unconstrained linear saddle system.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,11 @@ from pdflow.presets import (
     example1_problem,
     example1_saddle,
     example2_problem,
+    lp_config,
 )
-from pdflow.sets import FreeSpace
+from pdflow.sets import Box, FreeSpace
+
+STEPPERS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
 
 
 def quadratic_free_problem(q=1.0, a=1.0, b0=1.0, rho=1.0):
@@ -44,6 +49,34 @@ def quadratic_free_problem(q=1.0, a=1.0, b0=1.0, rho=1.0):
         set=FreeSpace(1),
         rho=rho,
     )
+
+
+def softplus_problem():
+    """min sum_i log(1 + e^x_i) s.t. x_1 + x_2 + x_3 = 1 over [-2, 2]^2 x [0.5, 2].
+
+    The objective is given only by callables.  The optimum is
+    x = (0.25, 0.25, 0.5) with dual v = -sigmoid(0.25): the first two
+    coordinates are interior with sigmoid(x_i) = -v, and the third sits on
+    its lower bound since sigmoid(0.5) + v > 0.
+    """
+    return ProblemSpec(
+        objective=Objective(
+            evaluate=lambda x: float(np.logaddexp(0.0, x).sum()),
+            gradient=lambda x: 1.0 / (1.0 + np.exp(-x)),
+        ),
+        A=np.ones((1, 3)),
+        b=np.ones(1),
+        set=Box(lower=[-2.0, -2.0, 0.5], upper=[2.0, 2.0, 2.0]),
+    )
+
+
+def iterate_until_within_tol(problem, stepper, state, dt, tol):
+    """The public stepper iterated until kkt_residual <= tol: (state, steps)."""
+    steps = 0
+    while kkt_residual(problem, state) > tol:
+        state = stepper(problem, state, dt)
+        steps += 1
+    return state, steps
 
 
 class TestObjective:
@@ -313,26 +346,70 @@ class TestSolve:
 
     @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
     def test_stops_at_first_step_within_tol(self, tol):
-        # a stride longer than the run, so the stopping step is never a
-        # recorded one and the residual test runs on its own
+        # each integrator against its public stepper; a stride longer than
+        # the run, so the stopping step is never a recorded one and the
+        # residual test runs on its own
         p = example1_problem()
-        cfg = SolverConfig(dt=1e-2, max_steps=10_000, tol=tol, record_stride=10**6)
         init = FlowState(x=np.array([6.0, -2.0]), v=np.array([1.0]))
+        for integrator, stepper in STEPPERS.items():
+            cfg = SolverConfig(
+                dt=1e-2, max_steps=10_000, tol=tol, record_stride=10**6, integrator=integrator
+            )
+            res = solve(p, cfg, init)
+            s, steps = iterate_until_within_tol(p, stepper, init, cfg.dt, tol)
+            assert res.converged and res.steps_taken == steps, integrator
+            assert np.array_equal(res.final.x, s.x), integrator
+            assert np.array_equal(res.final.v, s.v), integrator
+            assert res.residual == kkt_residual(p, s), integrator
+
+    def test_divergence_error_names_step(self):
+        # every integrator: the error names the first step whose iterate the
+        # public stepper makes non-finite, and no earlier step met tol
+        p = quadratic_free_problem(q=1.0, a=1.0)
+        init = FlowState(x=np.array([1.0]), v=np.array([0.0]))
+        for integrator, stepper in STEPPERS.items():
+            cfg = SolverConfig(dt=1e6, max_steps=10_000, tol=1e-12, integrator=integrator)
+            with pytest.raises(DivergenceError, match="step") as err:
+                solve(p, cfg, init)
+            s, steps = init, 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while np.isfinite(s.x).all() and np.isfinite(s.v).all():
+                    assert not kkt_residual(p, s) <= cfg.tol
+                    s = stepper(p, s, cfg.dt)
+                    steps += 1
+            assert f"non-finite iterate at step {steps};" in str(err.value), integrator
+
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
+    def test_callable_objective_matches_stepper_and_optimum(self, integrator):
+        # the gradient is not folded into the kernel: it is called per field
+        p = softplus_problem()
+        cfg = SolverConfig(dt=5e-2, max_steps=50_000, tol=1e-9, integrator=integrator)
+        init = FlowState(x=np.array([2.0, -1.0, 1.0]), v=np.zeros(1))
         res = solve(p, cfg, init)
-        s = init
-        steps = 0
-        while kkt_residual(p, s) > tol:
-            s = euler_step(p, s, cfg.dt)
-            steps += 1
+        s, steps = iterate_until_within_tol(p, STEPPERS[integrator], init, cfg.dt, cfg.tol)
         assert res.converged and res.steps_taken == steps
         assert np.array_equal(res.final.x, s.x)
         assert np.array_equal(res.final.v, s.v)
         assert res.residual == kkt_residual(p, s)
+        assert np.abs(res.final.x - [0.25, 0.25, 0.5]).max() <= 1e-8
+        assert res.final.v[0] == pytest.approx(-1.0 / (1.0 + np.exp(-0.25)), abs=1e-8)
 
-    def test_divergence_error_names_step(self):
-        p = quadratic_free_problem(q=1.0, a=1.0)
-        with pytest.raises(DivergenceError, match="step"):
-            solve(p, SolverConfig(dt=1e6, max_steps=10_000, tol=1e-12), FlowState(x=np.array([1.0]), v=np.array([0.0])))
+    def test_folded_gradient_called_only_at_residual_checks(self):
+        # the linear objective lives in the kernel, so its gradient is called
+        # for the residual's stationarity term only: on recorded steps and
+        # once feasibility alone is within tol, not on every step
+        calls = 0
+        p = example2_problem()
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return p.objective.gradient(x)
+
+        counted = dataclasses.replace(p, objective=dataclasses.replace(p.objective, gradient=counting))
+        res = solve(counted, lp_config(), FlowState(x=np.zeros(5), v=np.zeros(3)))
+        assert res.converged and res.steps_taken > 400_000
+        assert len(res.trajectory) <= calls < res.steps_taken // 10
 
     def test_trajectory_recording_stride(self):
         p = example1_problem()

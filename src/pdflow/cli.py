@@ -275,6 +275,9 @@ def cmd_connectivity(args) -> int:
 
 def cmd_examples(args) -> int:
     name = args.name
+    unused = "epsilon" if name in ("example1", "example2") else "integrator"
+    if getattr(args, unused) is not None:
+        raise ValueError(f"--{unused} does not apply to {name}")
     if name in ("example1", "example2"):
         problem = presets.example1_problem() if name == "example1" else presets.example2_problem()
         config = _solve_config(args, presets.lp_config())

@@ -2,7 +2,8 @@
 
 Each node i owns a scalar shift mu_i, one weight contribution w_ik per
 incident edge k, a symmetric auxiliary matrix Z_i and a scalar dual v_i for
-its unit weight budget.  With L the unweighted Laplacian, the node-local matrix
+its unit weight budget.  With L = B B^T the graph's unweighted Laplacian
+(``Graph.laplacian``, B its ``incidence``), the node-local matrix
 
     X_i = -mu_i * ONES - sum_{k incident} w_ik * E_k + sum_{j ~ i} (Z_i - Z_j)
 
@@ -20,7 +21,6 @@ zero Laplacian entries keep each node's update local.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -31,33 +31,6 @@ from .spectral import smoothed_max_eig, smoothed_max_eig_grad
 
 # A weight contribution counts as sitting on the zero bound within this band.
 _ACTIVITY_TOL = 1e-9
-
-
-class _Topology(NamedTuple):
-    laplacian: np.ndarray  # (N, N) unweighted Laplacian
-    incidence: np.ndarray  # (N, E) column k is e_a - e_b for edge k = (a, b)
-    mask: np.ndarray  # (N, E) node i is an endpoint of edge k
-    heads: np.ndarray  # (E,) 0-based first endpoints
-    tails: np.ndarray  # (E,) 0-based second endpoints
-    triu: tuple  # upper-triangle indices of an N x N matrix
-
-
-@lru_cache(maxsize=32)
-def _topology(graph: Graph) -> _Topology:
-    """The graph's index arrays, built once per graph and shared read-only."""
-    if graph.n < 2:
-        raise ValueError("connectivity needs at least 2 nodes")
-    heads = np.array([a - 1 for a, _ in graph.edges], dtype=np.intp)
-    tails = np.array([b - 1 for _, b in graph.edges], dtype=np.intp)
-    cols = np.arange(graph.num_edges)
-    incidence = np.zeros((graph.n, graph.num_edges))
-    incidence[heads, cols] = 1.0
-    incidence[tails, cols] = -1.0
-    rows, upper = np.triu_indices(graph.n)
-    arrays = (graph.unweighted_laplacian(), incidence, incidence != 0.0, heads, tails)
-    for array in arrays + (rows, upper):
-        array.setflags(write=False)
-    return _Topology(*arrays, triu=(rows, upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +50,18 @@ class NetworkState:
     eps: float
 
     def __post_init__(self):
+        if self.graph.n < 2:
+            raise ValueError("connectivity needs at least 2 nodes")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        n, mask = self.graph.n, _topology(self.graph).mask
-        for name, shape in (("mu", (n,)), ("W", mask.shape), ("Z", (n, n, n)), ("v", (n,))):
+        n, B = self.graph.n, self.graph.incidence
+        for name, shape in (("mu", (n,)), ("W", B.shape), ("Z", (n, n, n)), ("v", (n,))):
             array = np.array(getattr(self, name), dtype=float)
             array.setflags(write=False)
             if array.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
             object.__setattr__(self, name, array)
-        if np.any(self.W[~mask] != 0.0):
+        if np.any(self.W[B == 0.0] != 0.0):
             raise ValueError("W must be zero on edges not incident to the node")
         if not np.array_equal(self.Z, np.swapaxes(self.Z, 1, 2)):
             raise ValueError("every Z_i must be symmetric")
@@ -124,9 +99,8 @@ def _require_finite(*per_node) -> None:
 
 def node_matrices(network: NetworkState) -> np.ndarray:
     """The stack of matrices X_i whose largest eigenvalues the nodes drive down."""
-    top = _topology(network.graph)
-    n, B = network.graph.n, top.incidence
-    X = np.tensordot(top.laplacian, network.Z, axes=1)
+    n, B, L = network.graph.n, network.graph.incidence, network.graph.laplacian
+    X = np.tensordot(L, network.Z, axes=1)
     # sum_k w_ik E_k = B diag(W_i) B^T, as one matmul over the whole stack
     X -= ((B * network.W[:, None, :]).reshape(n * n, -1) @ B.T).reshape(n, n, n)
     X -= network.mu[:, None, None]
@@ -142,12 +116,12 @@ def _broadcast(network: NetworkState):
 
 def _fields(network: NetworkState, G: np.ndarray) -> Fields:
     """Phase 2: each node's fields from its own and its neighbors' G."""
-    top = _topology(network.graph)
-    a, b = top.heads, top.tails
+    graph = network.graph
+    a, b = graph.heads, graph.tails
     g = network.budget_violation()
     pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
-    dW = np.where(top.mask, pairing - network.v[:, None] - g[:, None], 0.0)
-    S = np.tensordot(top.laplacian, G, axes=1)
+    dW = np.where(graph.incidence != 0.0, pairing - network.v[:, None] - g[:, None], 0.0)
+    S = np.tensordot(graph.laplacian, G, axes=1)
     # keeps every Z_i exactly symmetric whatever order BLAS sums in; a no-op
     # when S is already symmetric
     S = (S + np.swapaxes(S, 1, 2)) / 2.0
@@ -191,11 +165,13 @@ def network_residual(network: NetworkState) -> float:
     """Sum of absolute budget violations plus the Euclidean norm of all
     projected primal fields (mu, w and the upper-triangle z coefficients of
     every node); zero exactly at equilibria of the dynamics."""
-    return _residual_from_messages(network, network_fields(network))
+    triu = np.triu_indices(network.graph.n)
+    return _residual_from_messages(network, network_fields(network), triu)
 
 
-def _residual_from_messages(network: NetworkState, fields: Fields) -> float:
-    rows, cols = _topology(network.graph).triu
+def _residual_from_messages(network: NetworkState, fields: Fields, triu: tuple) -> float:
+    # triu: the upper-triangle indices of an N x N matrix, built once per run
+    rows, cols = triu
     # tangent cone of the orthant: a contribution on the bound may not decrease
     dW = np.where(network.W <= _ACTIVITY_TOL, np.maximum(fields.dW, 0.0), fields.dW)
     dz = fields.dZ[:, rows, cols]
@@ -230,12 +206,12 @@ def assembled_connectivity(network: NetworkState) -> float:
 
 def contributions_vector(network: NetworkState) -> tuple:
     """All weight contributions in (node, edge label) lexicographic order."""
-    return tuple(network.W[_topology(network.graph).mask].tolist())
+    return tuple(network.W[network.graph.incidence != 0.0].tolist())
 
 
 def initial_network(graph: Graph, eps: float) -> NetworkState:
     """Default start: zero mu, Z and v; each node spreads its budget uniformly."""
-    mask = _topology(graph).mask
+    mask = graph.incidence != 0.0
     n = graph.n
     W = mask / mask.sum(axis=1, keepdims=True)
     return NetworkState(graph, np.zeros(n), W, np.zeros((n, n, n)), np.zeros(n), eps)
@@ -243,7 +219,7 @@ def initial_network(graph: Graph, eps: float) -> NetworkState:
 
 def random_network(graph: Graph, eps: float, rng: np.random.Generator) -> NetworkState:
     """Arbitrary start: normal mu, v and Z entries; uniform nonnegative contributions."""
-    mask = _topology(graph).mask
+    mask = graph.incidence != 0.0
     n = graph.n
     mu = rng.standard_normal(n)
     W = np.where(mask, rng.uniform(0.0, 1.0, mask.shape), 0.0)
@@ -272,11 +248,11 @@ def simulate(
     network = initial_network(graph, eps) if init is None else replace(init, eps=eps)
 
     history: list[HistoryPoint] = []
-    rounds = 0
+    rounds, triu = 0, np.triu_indices(graph.n)
     while True:
         values, G = _broadcast(network)
         fields = _fields(network, G)
-        residual = _residual_from_messages(network, fields)
+        residual = _residual_from_messages(network, fields, triu)
         done = residual <= config.tol or rounds >= config.max_steps
         if done or rounds % config.record_stride == 0:
             history.append(

@@ -33,6 +33,11 @@ class DivergenceError(RuntimeError):
     """The iteration produced non-finite values, typically because dt is too large."""
 
 
+def _check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class Objective:
     """Objective function given by a value callable and a gradient callable.
@@ -51,6 +56,7 @@ class Objective:
     def linear(c) -> "Objective":
         """f(x) = c^T x."""
         c = np.asarray(c, dtype=float).copy()
+        _check_finite("c", c)
         c.setflags(write=False)
         return Objective(
             evaluate=lambda x: float(c @ x),
@@ -65,6 +71,8 @@ class Objective:
         c = np.asarray(c, dtype=float).copy()
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != c.size:
             raise ValueError("Q must be square and match the dimension of c")
+        _check_finite("Q", Q)
+        _check_finite("c", c)
         if np.abs(Q - Q.T).max() > 1e-9 * (1.0 + np.abs(Q).max()):
             raise ValueError("Q must be symmetric")
         Q = (Q + Q.T) / 2.0
@@ -107,8 +115,10 @@ class ProblemSpec:
             raise ValueError(
                 f"A has {A.shape[1]} columns but the set has dimension {self.set.dim}"
             )
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        _check_finite("A", A)
+        _check_finite("b", b)
+        if not (self.rho > 0 and math.isfinite(self.rho)):
+            raise ValueError("rho must be positive and finite")
         A = A.copy()
         b = b.copy()
         A.setflags(write=False)

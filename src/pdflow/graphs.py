@@ -24,6 +24,11 @@ class Graph:
     edges : iterable of (int, int)
         Node pairs; edge k (1-based) is the k-th pair.  Pairs are stored
         with the smaller endpoint first.
+
+    Built once and read-only: ``heads`` and ``tails``, the 0-based
+    endpoints of every edge; the incidence matrix ``incidence`` (B, N x E,
+    column k - 1 is e_a - e_b for edge k = (a, b)); and the unweighted
+    Laplacian ``laplacian`` = B B^T.
     """
 
     def __init__(self, n: int, edges):
@@ -45,20 +50,19 @@ class Graph:
             normalized.append(pair)
         self.n = n
         self.edges = tuple(normalized)
-
-        neighbors = {i: set() for i in range(1, n + 1)}
-        incident = {i: [] for i in range(1, n + 1)}
-        for k, (i, j) in enumerate(self.edges, start=1):
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-            incident[i].append(k)
-            incident[j].append(k)
-        self._neighbors = {i: tuple(sorted(s)) for i, s in neighbors.items()}
-        self._incident = {i: tuple(ks) for i, ks in incident.items()}
+        self.heads = np.array([a - 1 for a, _ in self.edges], dtype=np.intp)
+        self.tails = np.array([b - 1 for _, b in self.edges], dtype=np.intp)
+        cols = np.arange(len(self.edges))
+        self.incidence = np.zeros((n, len(self.edges)))
+        self.incidence[self.heads, cols] = 1.0
+        self.incidence[self.tails, cols] = -1.0
+        self.laplacian = self.incidence @ self.incidence.T
+        for array in (self.heads, self.tails, self.incidence, self.laplacian):
+            array.setflags(write=False)
 
         # connected iff the unweighted Laplacian has exactly one zero eigenvalue
         if n > 1:
-            eigs = np.linalg.eigvalsh(self.unweighted_laplacian())
+            eigs = np.linalg.eigvalsh(self.laplacian)
             if int(np.sum(eigs < _ZERO_EIG_TOL)) != 1:
                 raise ValueError("graph is not connected")
 
@@ -66,19 +70,21 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    def _row(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"node {i} out of range 1..{self.n}")
+        return i - 1
+
     def neighbors(self, i: int) -> tuple:
         """Nodes adjacent to node ``i``, ascending."""
-        return self._neighbors[i]
+        return tuple((np.flatnonzero(self.laplacian[self._row(i)] < 0.0) + 1).tolist())
 
     def incident_edges(self, i: int) -> tuple:
         """Labels of the edges touching node ``i``, ascending."""
-        return self._incident[i]
+        return tuple((np.flatnonzero(self.incidence[self._row(i)]) + 1).tolist())
 
     def degree(self, i: int) -> int:
-        return len(self._incident[i])
-
-    def unweighted_laplacian(self) -> np.ndarray:
-        return weighted_laplacian(self, np.ones(self.num_edges))
+        return len(self.incident_edges(i))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -100,18 +106,8 @@ def edge_matrix(graph: Graph, k: int) -> np.ndarray:
     return E
 
 
-def add_edge_term(matrix: np.ndarray, graph: Graph, k: int, coeff: float) -> None:
-    """In-place ``matrix += coeff * edge_matrix(graph, k)`` touching 4 entries."""
-    i, j = graph.edges[k - 1]
-    a, b = i - 1, j - 1
-    matrix[a, a] += coeff
-    matrix[b, b] += coeff
-    matrix[a, b] -= coeff
-    matrix[b, a] -= coeff
-
-
 def weighted_laplacian(graph: Graph, weights) -> np.ndarray:
-    """Sum of ``weights[k-1] * edge_matrix(graph, k)`` over all edges."""
+    """Sum of ``weights[k-1] * edge_matrix(graph, k)`` over all edges: B diag(w) B^T."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (graph.num_edges,):
         raise ValueError(
@@ -119,10 +115,7 @@ def weighted_laplacian(graph: Graph, weights) -> np.ndarray:
         )
     if np.any(weights < 0):
         raise ValueError("edge weights must be nonnegative")
-    L = np.zeros((graph.n, graph.n))
-    for k, w in enumerate(weights, start=1):
-        add_edge_term(L, graph, k, float(w))
-    return L
+    return (graph.incidence * weights) @ graph.incidence.T
 
 
 def algebraic_connectivity(laplacian) -> float:

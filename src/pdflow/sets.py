@@ -225,11 +225,6 @@ class Product(SimpleSet):
             [c._tangent(x[s], v[s]) for c, s in zip(self.components, self._slices)]
         )
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = _as_vector(x, self.dim)
-        gaps = [c.project(x[s]) - x[s] for c, s in zip(self.components, self._slices)]
-        return float(np.linalg.norm(np.concatenate(gaps))) <= tol
-
     def __repr__(self):
         return f"Product({list(self.components)!r})"
 

@@ -156,6 +156,29 @@ class TestSolveCommand:
         assert code == EXIT_DIVERGED
         assert "reduce --dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("c", [1.0, float("nan")], "c must be finite"),
+            ("Q", [[1.0, float("nan")], [float("nan"), 1.0]], "Q must be finite"),
+            ("A", [[1.0, float("nan")]], "A must be finite"),
+            ("b", ["inf"], "b must be finite"),
+            ("rho", "inf", "rho must be positive and finite"),
+        ],
+    )
+    def test_non_finite_data_is_input_error(self, tmp_path, capsys, key, value, message):
+        doc = dict(EXAMPLE1_DOC)
+        if key == "c":
+            doc["objective"] = {"type": "linear", "c": value}
+        elif key == "Q":
+            doc["objective"] = {"type": "quadratic", "Q": value, "c": [1.0, 3.0]}
+        else:
+            doc[key] = value
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_seed_reproducible_bytes(self, tmp_path):
         path = write_problem(tmp_path, EXAMPLE1_DOC)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -251,6 +274,21 @@ class TestExamplesCommand:
         assert (tmp_path / "example1_trajectory.csv").exists()
         out = capsys.readouterr().out
         assert "objective:      8" in out
+
+    @pytest.mark.parametrize(
+        "name,flag",
+        [
+            ("example1", "--epsilon"),
+            ("example2", "--epsilon"),
+            ("example3", "--integrator"),
+            ("example4", "--integrator"),
+        ],
+    )
+    def test_inapplicable_flag_is_input_error(self, tmp_path, capsys, name, flag):
+        value = "5" if flag == "--epsilon" else "rk4"
+        assert main(["examples", name, flag, value, "--output", str(tmp_path)]) == EXIT_INPUT
+        assert f"{flag} does not apply to {name}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

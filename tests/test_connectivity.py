@@ -181,7 +181,7 @@ class TestNodeFields:
         for graph in (Graph(8, ring + [(1, 4)]), Graph(6, [(i, i + 1) for i in range(1, 6)])):
             net = random_network(graph, 0.2, rng)
             before = network_fields(net)
-            adjacency = (graph.unweighted_laplacian() != 0.0).astype(int)
+            adjacency = (graph.laplacian != 0.0).astype(int)
             within_two = np.linalg.matrix_power(adjacency, 2) > 0
             far_pairs = 0
             for i, j in zip(*np.nonzero(~within_two)):

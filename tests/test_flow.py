@@ -70,6 +70,16 @@ def softplus_problem():
     )
 
 
+def central_difference(f, x, h=1e-5):
+    """Gradient of the scalar function ``f`` at ``x`` by central differences."""
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (f(x + e) - f(x - e)) / (2 * h)
+    return grad
+
+
 def iterate_until_within_tol(problem, stepper, state, dt, tol):
     """The public stepper iterated until kkt_residual <= tol: (state, steps)."""
     steps = 0
@@ -93,6 +103,15 @@ class TestObjective:
     def test_quadratic_rejects_indefinite(self):
         with pytest.raises(ValueError):
             Objective.quadratic(np.array([[-1.0]]), np.zeros(1))
+
+    def test_rejects_non_finite_data(self):
+        # a NaN in Q makes every comparison of the symmetry check false
+        with pytest.raises(ValueError, match="Q must be finite"):
+            Objective.quadratic(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match="c must be finite"):
+            Objective.quadratic(np.eye(2), np.array([0.0, np.inf]))
+        with pytest.raises(ValueError, match="c must be finite"):
+            Objective.linear([1.0, np.nan])
 
     @pytest.mark.parametrize(
         "objective,dim",
@@ -134,6 +153,16 @@ class TestProblemSpec:
                 set=FreeSpace(1),
                 rho=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("A", np.array([[1.0, np.nan]])), ("b", np.array([np.inf])), ("rho", np.inf)],
+    )
+    def test_rejects_non_finite_data(self, field, value):
+        data = dict(A=np.ones((1, 2)), b=np.ones(1), rho=1.0)
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+            ProblemSpec(objective=Objective.linear([1.0, 2.0]), set=FreeSpace(2), **data)
 
 
 class TestLagrangians:
@@ -196,6 +225,34 @@ class TestFields:
         p = example1_problem()
         assert np.array_equal(dual_field(p, np.array([3.0, 1.0])), [2.0])
         assert np.array_equal(dual_field(p, np.array([4.0, 4.0])), [0.0])
+
+    @pytest.mark.parametrize("rho", [0.5, 2.0])
+    def test_fields_are_augmented_lagrangian_gradients(self, rho):
+        # with a nonzero dual point this pins every block of the stacked
+        # kernel: -A^T v, the rho scaling of A^T A, and A x - b in the dual
+        # row, which the Euler step applies
+        rng = np.random.default_rng(44)
+        n, m, dt = 4, 2, 1e-3
+        for _ in range(20):
+            M = rng.normal(size=(n, n))
+            p = ProblemSpec(
+                objective=Objective.quadratic(M @ M.T, rng.normal(size=n)),
+                A=rng.normal(size=(m, n)),
+                b=rng.normal(size=m),
+                set=FreeSpace(n),
+                rho=rho,
+            )
+            x, v = rng.normal(size=n), rng.normal(size=m)
+            grad_x = central_difference(lambda y: augmented_lagrangian(p, y, v), x)
+            grad_v = central_difference(lambda u: augmented_lagrangian(p, x, u), v)
+            step = euler_step(p, FlowState(x=x, v=v), dt)
+            for got, want in [
+                (primal_field(p, x, v), -grad_x),
+                (dual_field(p, x), grad_v),
+                ((step.x - x) / dt, -grad_x),
+                ((step.v - v) / dt, grad_v),
+            ]:
+                assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 class TestSteps:

@@ -46,6 +46,25 @@ class TestGraph:
                 assert (k in g.incident_edges(node)) == touches
 
 
+    def test_incidence_and_laplacian(self):
+        g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)])
+        for k, (i, j) in enumerate(g.edges):
+            e = np.zeros(4)
+            e[i - 1], e[j - 1] = 1.0, -1.0
+            assert np.array_equal(g.incidence[:, k], e)
+            assert (g.heads[k], g.tails[k]) == (i - 1, j - 1)
+        edge_sum = sum(edge_matrix(g, k) for k in range(1, g.num_edges + 1))
+        assert np.array_equal(g.laplacian, edge_sum)
+        for array in (g.heads, g.tails, g.incidence, g.laplacian):
+            assert not array.flags.writeable
+
+    def test_node_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            P3.neighbors(0)
+        with pytest.raises(ValueError, match="out of range"):
+            P3.degree(4)
+
+
 class TestEdgeMatrix:
     def test_p3_first_edge(self):
         E1 = edge_matrix(P3, 1)
@@ -114,6 +133,14 @@ class TestWeightedLaplacian:
             L = weighted_laplacian(g, w)
             assert np.abs(L @ np.ones(g.n)).max() <= 1e-12
             assert np.linalg.eigvalsh(L)[0] >= -1e-10
+
+    def test_matches_weighted_edge_matrix_sum(self):
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            g = _random_connected_graph(rng)
+            w = rng.uniform(0.0, 3.0, size=g.num_edges)
+            expected = sum(w[k - 1] * edge_matrix(g, k) for k in range(1, g.num_edges + 1))
+            assert np.abs(weighted_laplacian(g, w) - expected).max() <= 1e-12
 
     def test_lambda2_monotone_in_each_weight(self):
         rng = np.random.default_rng(32)

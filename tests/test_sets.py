@@ -74,6 +74,11 @@ class TestContains:
     def test_ball_outside(self):
         assert not Ball(center=[0.0, 0.0], radius=1.0).contains([2.0, 0.0], tol=1e-8)
 
+    def test_product_boundary_and_outside(self):
+        prod = Product([NonnegativeOrthant(2), Box([0.0], [1.0])])
+        assert prod.contains([0.0, 3.0, 1.0], tol=0.0)
+        assert not prod.contains([0.0, -1e-3, 1.0], tol=1e-4)
+
 
 class TestTangentProjection:
     def test_orthant_inward_normal_absorbs(self):

@@ -12,10 +12,10 @@ Exit codes: 0 converged, 1 stopped at the step budget, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +38,6 @@ EXIT_CONVERGED = 0
 EXIT_STEP_BUDGET = 1
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
-
-
-@dataclass
-class RunSummary:
-    converged: bool
-    steps: int
-    residual: float
-    objective: float
-    wall_time: float
-    outputs: list
-    lambda2: float | None = None
 
 
 def _fmt(x) -> str:
@@ -116,6 +105,8 @@ def load_problem(path: Path) -> ProblemSpec:
         objective = parse_objective_descriptor(document["objective"])
         simple_set = parse_set_descriptor(document["set"])
         n = simple_set.dim
+        if n == 0:
+            raise ValueError("set has dimension 0; a problem needs at least one variable")
         A = np.asarray(document.get("A", []), dtype=float).reshape(-1, n)
         b = np.asarray(document.get("b", []), dtype=float).reshape(-1)
         rho = float(document.get("rho", 1.0))
@@ -128,6 +119,13 @@ def load_problem(path: Path) -> ProblemSpec:
 
 # ---------------------------------------------------------------- CSV output
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Write ``header`` and ``rows`` (sequences of strings) as comma-separated
+    lines, each ending in ``\n``."""
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
 def write_trajectory_csv(path: Path, problem: ProblemSpec, result: SolveResult) -> None:
     n, m = problem.dim, problem.num_constraints
     header = (
@@ -136,141 +134,113 @@ def write_trajectory_csv(path: Path, problem: ProblemSpec, result: SolveResult) 
         + [f"v_{i}" for i in range(1, m + 1)]
         + ["objective", "residual"]
     )
-    lines = [",".join(header)]
-    for point in result.trajectory:
-        row = (
-            [_fmt(point.t)]
-            + [_fmt(c) for c in point.x]
-            + [_fmt(c) for c in point.v]
-            + [_fmt(point.objective), _fmt(point.residual)]
-        )
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _contribution_columns(graph: Graph) -> list:
-    return [
-        f"w_{i}_{k}" for i in range(1, graph.n + 1) for k in graph.incident_edges(i)
-    ]
+    rows = (
+        [_fmt(point.t)]
+        + [_fmt(c) for c in point.x]
+        + [_fmt(c) for c in point.v]
+        + [_fmt(point.objective), _fmt(point.residual)]
+        for point in result.trajectory
+    )
+    _write_csv(path, header, rows)
 
 
 def write_history_csv(path: Path, graph: Graph, history) -> None:
-    header = ["round", "objective", "lambda2", "residual"] + _contribution_columns(graph)
-    lines = [",".join(header)]
-    for point in history:
-        row = (
-            [str(point.round), _fmt(point.objective), _fmt(point.lambda2), _fmt(point.residual)]
-            + [_fmt(c) for c in point.contributions]
-        )
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    header = ["round", "objective", "lambda2", "residual"] + [
+        f"w_{i}_{k}" for i in range(1, graph.n + 1) for k in graph.incident_edges(i)
+    ]
+    rows = (
+        [str(point.round), _fmt(point.objective), _fmt(point.lambda2), _fmt(point.residual)]
+        + [_fmt(c) for c in point.contributions]
+        for point in history
+    )
+    _write_csv(path, header, rows)
 
 
 def write_weights_csv(path: Path, network: distnet.NetworkState) -> None:
-    graph = network.graph
-    lines = ["edge,node_a,node_b,contribution_a,contribution_b,total"]
-    for k, (i, j) in enumerate(graph.edges, start=1):
-        wa = network.W[i - 1, k - 1]
-        wb = network.W[j - 1, k - 1]
-        lines.append(f"{k},{i},{j},{_fmt(wa)},{_fmt(wb)},{_fmt(wa + wb)}")
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    header = ["edge", "node_a", "node_b", "contribution_a", "contribution_b", "total"]
+    rows = []
+    for k, (i, j) in enumerate(network.graph.edges, start=1):
+        wa, wb = network.W[i - 1, k - 1], network.W[j - 1, k - 1]
+        rows.append([str(k), str(i), str(j), _fmt(wa), _fmt(wb), _fmt(wa + wb)])
+    _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------- commands
 
-def _print_summary(summary: RunSummary) -> None:
-    print(f"converged:      {'yes' if summary.converged else 'no'}")
-    print(f"steps:          {summary.steps}")
-    print(f"final residual: {summary.residual:.6e}")
-    print(f"objective:      {summary.objective:.10g}")
-    if summary.lambda2 is not None:
-        print(f"lambda2:        {summary.lambda2:.10g}")
-    print(f"wall time:      {summary.wall_time:.2f} s")
-    for out in summary.outputs:
-        print(f"wrote:          {out}")
-
-
 def _solve_config(args, defaults: SolverConfig) -> SolverConfig:
-    return SolverConfig(
-        dt=args.dt if args.dt is not None else defaults.dt,
-        max_steps=args.steps if args.steps is not None else defaults.max_steps,
-        tol=args.tol if args.tol is not None else defaults.tol,
-        integrator=args.integrator if getattr(args, "integrator", None) else defaults.integrator,
-        record_stride=args.record_stride if args.record_stride is not None else defaults.record_stride,
-    )
+    """``defaults`` overlaid with the run flags given on the command line
+    (each flag's ``dest`` is the name of its ``SolverConfig`` field)."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SolverConfig)}
+    return dataclasses.replace(defaults, **{k: v for k, v in given.items() if v is not None})
 
 
-def _run_solve(problem: ProblemSpec, config: SolverConfig, seed, out_dir: Path, stem: str) -> RunSummary:
+def _finish(converged, steps, residual, objective, wall_time, outputs, lambda2=None) -> int:
+    """Print the run summary; return the run's exit code."""
+    print(f"converged:      {'yes' if converged else 'no'}")
+    print(f"steps:          {steps}")
+    print(f"final residual: {residual:.6e}")
+    print(f"objective:      {objective:.10g}")
+    if lambda2 is not None:
+        print(f"lambda2:        {lambda2:.10g}")
+    print(f"wall time:      {wall_time:.2f} s")
+    for out in outputs:
+        print(f"wrote:          {out}")
+    return EXIT_CONVERGED if converged else EXIT_STEP_BUDGET
+
+
+def _run_solve(problem: ProblemSpec, defaults: SolverConfig, args, stem: str) -> int:
+    config = _solve_config(args, defaults)
     n, m = problem.dim, problem.num_constraints
-    if seed is None:
+    if args.seed is None:
         init = FlowState(x=np.zeros(n), v=np.zeros(m))
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         init = FlowState(x=rng.standard_normal(n), v=rng.standard_normal(m))
+    args.output.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = solve(problem, config, init)
     elapsed = time.perf_counter() - start
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{stem}_trajectory.csv"
+    csv_path = args.output / f"{stem}_trajectory.csv"
     write_trajectory_csv(csv_path, problem, result)
-    summary = RunSummary(
-        converged=result.converged,
-        steps=result.steps_taken,
-        residual=result.residual,
-        objective=float(problem.objective.evaluate(result.final.x)),
-        wall_time=elapsed,
-        outputs=[csv_path],
+    objective = float(problem.objective.evaluate(result.final.x))
+    return _finish(
+        result.converged, result.steps_taken, result.residual, objective, elapsed, [csv_path]
     )
-    _print_summary(summary)
-    return summary
 
 
 def _run_connectivity(
-    graph: Graph, eps: float, config: SolverConfig, seed, out_dir: Path, stem: str
-) -> RunSummary:
-    if seed is None:
+    graph: Graph, default_eps: float, defaults: SolverConfig, args, stem: str
+) -> int:
+    config = _solve_config(args, defaults)
+    eps = args.epsilon if args.epsilon is not None else default_eps
+    if args.seed is None:
         init = distnet.initial_network(graph, eps)
     else:
-        init = distnet.random_network(graph, eps, np.random.default_rng(seed))
+        init = distnet.random_network(graph, eps, np.random.default_rng(args.seed))
+    args.output.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     network, history = distnet.simulate(graph, eps, config, init=init)
     elapsed = time.perf_counter() - start
     final = history[-1]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    history_path = out_dir / f"{stem}_history.csv"
-    weights_path = out_dir / f"{stem}_weights.csv"
+    history_path = args.output / f"{stem}_history.csv"
+    weights_path = args.output / f"{stem}_weights.csv"
     write_history_csv(history_path, graph, history)
     write_weights_csv(weights_path, network)
-    summary = RunSummary(
-        converged=final.residual <= config.tol,
-        steps=final.round,
-        residual=final.residual,
-        objective=final.objective,
-        lambda2=final.lambda2,
-        wall_time=elapsed,
-        outputs=[history_path, weights_path],
+    return _finish(
+        final.residual <= config.tol, final.round, final.residual, final.objective, elapsed,
+        [history_path, weights_path], lambda2=final.lambda2,
     )
-    _print_summary(summary)
-    return summary
 
 
 def cmd_solve(args) -> int:
-    problem = load_problem(args.problem)
-    config = _solve_config(args, presets.lp_config())
-    summary = _run_solve(problem, config, args.seed, args.output, args.problem.stem)
-    return EXIT_CONVERGED if summary.converged else EXIT_STEP_BUDGET
+    return _run_solve(load_problem(args.problem), presets.lp_config(), args, args.problem.stem)
 
 
 def cmd_connectivity(args) -> int:
-    try:
-        text = args.graph.read_text()
-    except OSError as err:
-        raise ValueError(str(err)) from err
-    graph = parse_graph(text)
-    config = _solve_config(args, presets.connectivity_config())
-    eps = args.epsilon if args.epsilon is not None else presets.CONNECTIVITY_EPS
-    summary = _run_connectivity(graph, eps, config, args.seed, args.output, args.graph.stem)
-    return EXIT_CONVERGED if summary.converged else EXIT_STEP_BUDGET
+    graph = parse_graph(args.graph.read_text())
+    return _run_connectivity(
+        graph, presets.CONNECTIVITY_EPS, presets.connectivity_config(), args, args.graph.stem
+    )
 
 
 def cmd_examples(args) -> int:
@@ -280,30 +250,24 @@ def cmd_examples(args) -> int:
         raise ValueError(f"--{unused} does not apply to {name}")
     if name in ("example1", "example2"):
         problem = presets.example1_problem() if name == "example1" else presets.example2_problem()
-        config = _solve_config(args, presets.lp_config())
-        summary = _run_solve(problem, config, args.seed, args.output, name)
-        return EXIT_CONVERGED if summary.converged else EXIT_STEP_BUDGET
+        return _run_solve(problem, presets.lp_config(), args, name)
     if name == "example3":
-        graph = presets.example3_graph()
+        graph, default_eps = presets.example3_graph(), presets.CONNECTIVITY_EPS
         config = presets.connectivity_config()
-        default_eps = presets.CONNECTIVITY_EPS
     else:
-        graph = presets.example4_graph()
-        config = presets.connectivity_config(
-            dt=presets.EXAMPLE4_DT, tol=presets.EXAMPLE4_TOL
-        )
-        default_eps = presets.EXAMPLE4_EPS
-    config = _solve_config(args, config)
-    eps = args.epsilon if args.epsilon is not None else default_eps
-    summary = _run_connectivity(graph, eps, config, args.seed, args.output, name)
-    return EXIT_CONVERGED if summary.converged else EXIT_STEP_BUDGET
+        graph, default_eps = presets.example4_graph(), presets.EXAMPLE4_EPS
+        config = presets.connectivity_config(dt=presets.EXAMPLE4_DT, tol=presets.EXAMPLE4_TOL)
+    return _run_connectivity(graph, default_eps, config, args, name)
 
 
 # ---------------------------------------------------------------- entry point
 
 def _add_run_flags(parser, with_integrator=False, with_epsilon=False):
     parser.add_argument("--dt", type=float, default=None, help="integration step size")
-    parser.add_argument("--steps", type=int, default=None, help="maximum number of steps")
+    parser.add_argument(
+        "--steps", dest="max_steps", metavar="STEPS", type=int, default=None,
+        help="maximum number of steps",
+    )
     parser.add_argument("--tol", type=float, default=None, help="residual stopping tolerance")
     parser.add_argument("--record-stride", type=int, default=None, help="record every Nth step")
     parser.add_argument("--seed", type=int, default=None, help="random initialization seed")

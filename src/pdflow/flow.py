@@ -38,6 +38,14 @@ def _check_finite(name: str, array: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _as_c(c) -> np.ndarray:
+    c = np.asarray(c, dtype=float).copy()
+    if c.ndim != 1:
+        raise ValueError(f"c must be a vector, got shape {c.shape}")
+    _check_finite("c", c)
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class Objective:
     """Objective function given by a value callable and a gradient callable.
@@ -55,8 +63,7 @@ class Objective:
     @staticmethod
     def linear(c) -> "Objective":
         """f(x) = c^T x."""
-        c = np.asarray(c, dtype=float).copy()
-        _check_finite("c", c)
+        c = _as_c(c)
         c.setflags(write=False)
         return Objective(
             evaluate=lambda x: float(c @ x),
@@ -68,11 +75,10 @@ class Objective:
     def quadratic(Q, c) -> "Objective":
         """f(x) = x^T Q x / 2 + c^T x with Q symmetric positive semidefinite."""
         Q = np.asarray(Q, dtype=float)
-        c = np.asarray(c, dtype=float).copy()
+        c = _as_c(c)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != c.size:
             raise ValueError("Q must be square and match the dimension of c")
         _check_finite("Q", Q)
-        _check_finite("c", c)
         if np.abs(Q - Q.T).max() > 1e-9 * (1.0 + np.abs(Q).max()):
             raise ValueError("Q must be symmetric")
         Q = (Q + Q.T) / 2.0
@@ -115,6 +121,9 @@ class ProblemSpec:
             raise ValueError(
                 f"A has {A.shape[1]} columns but the set has dimension {self.set.dim}"
             )
+        c = self.objective.c
+        if c is not None and np.shape(c) != (self.set.dim,):
+            raise ValueError(f"c must have {self.set.dim} entries, got shape {np.shape(c)}")
         _check_finite("A", A)
         _check_finite("b", b)
         if not (self.rho > 0 and math.isfinite(self.rho)):

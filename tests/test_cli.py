@@ -4,6 +4,7 @@ determinism under a fixed seed."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,24 @@ def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def assert_summary(out, *, converged, steps, residual, objective, outputs, lambda2=None):
+    """Every line of the printed run summary; the wall time by its pattern."""
+    expected = [
+        f"converged:      {'yes' if converged else 'no'}",
+        f"steps:          {steps}",
+        f"final residual: {residual:.6e}",
+        f"objective:      {objective:.10g}",
+    ]
+    if lambda2 is not None:
+        expected.append(f"lambda2:        {lambda2:.10g}")
+    lines = out.splitlines()
+    wall = lines[len(expected)] if len(lines) > len(expected) else ""
+    assert re.fullmatch(r"wall time:      \d+\.\d\d s", wall), lines
+    expected.append(wall)
+    expected += [f"wrote:          {path}" for path in outputs]
+    assert lines == expected
 
 
 class TestSetDescriptors:
@@ -127,6 +146,38 @@ class TestSolveCommand:
         assert abs(final[4] - 8.0) <= 1e-6
         for row in rows:
             assert all(np.isfinite(float(c)) for c in row)
+
+    def test_summary_lines(self, tmp_path, capsys):
+        path = write_problem(tmp_path, EXAMPLE1_DOC)
+        argv = ["solve", str(path), "--steps", "50", "--tol", "1e-12", "--output", str(tmp_path)]
+        assert main(argv) == EXIT_STEP_BUDGET
+        csv_path = tmp_path / "problem_trajectory.csv"
+        _, rows = read_csv(csv_path)
+        assert_summary(
+            capsys.readouterr().out,
+            converged=False,
+            steps=50,
+            residual=float(rows[-1][-1]),
+            objective=float(rows[-1][-2]),
+            outputs=[csv_path],
+        )
+
+    @pytest.mark.parametrize(
+        "c,message", [([1.0, 2.0, 3.0], "c must have 2 entries"), (5.0, "c must be a vector")]
+    )
+    def test_objective_of_wrong_shape_is_input_error(self, tmp_path, capsys, c, message):
+        doc = {"objective": {"type": "linear", "c": c}, "set": {"type": "nonnegative", "dim": 2}}
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err and "Traceback" not in err
+
+    def test_zero_dimensional_set_is_input_error(self, tmp_path, capsys):
+        doc = {"objective": {"type": "linear", "c": []}, "set": {"type": "free", "dim": 0}}
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "set has dimension 0" in err and "Traceback" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_INPUT
@@ -226,6 +277,25 @@ class TestConnectivityCommand:
         for row in wrows:
             assert float(row[5]) == float(row[3]) + float(row[4])
 
+    def test_summary_lines(self, tmp_path, capsys):
+        graph_path = tmp_path / "p3.txt"
+        graph_path.write_text(P3_TEXT)
+        argv = ["connectivity", str(graph_path), "--steps", "300", "--tol", "1e-30"]
+        assert main(argv + ["--output", str(tmp_path)]) == EXIT_STEP_BUDGET
+        history_path, weights_path = tmp_path / "p3_history.csv", tmp_path / "p3_weights.csv"
+        _, rows = read_csv(history_path)
+        rnd, objective, lambda2, residual = rows[-1][:4]
+        assert_summary(
+            capsys.readouterr().out,
+            converged=False,
+            steps=int(rnd),
+            residual=float(residual),
+            objective=float(objective),
+            lambda2=float(lambda2),
+            outputs=[history_path, weights_path],
+        )
+        assert int(rnd) == 300
+
     def test_disconnected_graph(self, tmp_path, capsys):
         graph_path = tmp_path / "bad.txt"
         graph_path.write_text("4\n1 2\n3 4\n")
@@ -274,6 +344,20 @@ class TestExamplesCommand:
         assert (tmp_path / "example1_trajectory.csv").exists()
         out = capsys.readouterr().out
         assert "objective:      8" in out
+
+    def test_summary_lines(self, tmp_path, capsys):
+        argv = ["examples", "example1", "--dt", "1e-2", "--output", str(tmp_path)]
+        assert main(argv) == EXIT_CONVERGED
+        csv_path = tmp_path / "example1_trajectory.csv"
+        _, rows = read_csv(csv_path)
+        assert_summary(
+            capsys.readouterr().out,
+            converged=True,
+            steps=round(float(rows[-1][0]) / 1e-2),
+            residual=float(rows[-1][-1]),
+            objective=float(rows[-1][-2]),
+            outputs=[csv_path],
+        )
 
     @pytest.mark.parametrize(
         "name,flag",
@@ -336,3 +420,28 @@ class TestExamplesCommand:
         assert proc.returncode == EXIT_CONVERGED, proc.stderr
         assert "converged:      yes" in proc.stdout
         assert (tmp_path / "example1_trajectory.csv").exists()
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "problem.json"],
+            ["connectivity", "p3.txt"],
+            ["examples", "example1"],
+            ["examples", "example4"],
+        ],
+    )
+    def test_unusable_output_fails_before_the_run(self, tmp_path, monkeypatch, capsys, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started although --output is unusable")
+
+        monkeypatch.setattr("pdflow.cli.solve", never)
+        monkeypatch.setattr("pdflow.connectivity.simulate", never)
+        write_problem(tmp_path, EXAMPLE1_DOC)
+        (tmp_path / "p3.txt").write_text(P3_TEXT)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        argv = [str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv]
+        assert main(argv + ["--output", str(afile)]) == EXIT_INPUT
+        assert "File exists" in capsys.readouterr().err

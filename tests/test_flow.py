@@ -143,6 +143,16 @@ class TestProblemSpec:
                 b=np.zeros(1),
                 set=FreeSpace(2),
             )
+        with pytest.raises(ValueError, match=r"c must have 2 entries, got shape \(3,\)"):
+            ProblemSpec(
+                objective=Objective.linear([1.0, 2.0, 3.0]),
+                A=np.zeros((0, 2)),
+                b=np.zeros(0),
+                set=FreeSpace(2),
+            )
+        for make in (lambda: Objective.linear(5.0), lambda: Objective.quadratic([[1.0]], 5.0)):
+            with pytest.raises(ValueError, match="c must be a vector"):
+                make()
 
     def test_rho_positive(self):
         with pytest.raises(ValueError):

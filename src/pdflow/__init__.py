@@ -25,7 +25,6 @@ from .flow import (
     heun_step,
     kkt_residual,
     lagrangian,
-    lyapunov_distance,
     primal_field,
     rk4_step,
     solve,
@@ -44,7 +43,6 @@ from .sets import (
     NonnegativeOrthant,
     Product,
     SimpleSet,
-    tangent_quotient,
 )
 from .spectral import (
     smoothed_max_eig,
@@ -78,7 +76,6 @@ __all__ = [
     "heun_step",
     "kkt_residual",
     "lagrangian",
-    "lyapunov_distance",
     "primal_field",
     "rk4_step",
     "solve",
@@ -93,7 +90,6 @@ __all__ = [
     "NonnegativeOrthant",
     "Product",
     "SimpleSet",
-    "tangent_quotient",
     "smoothed_max_eig",
     "smoothed_max_eig_grad",
     "symmetrize",

@@ -65,10 +65,10 @@ def parse_set_descriptor(desc) -> SimpleSet:
     if not isinstance(desc, dict) or "type" not in desc:
         raise ValueError("set descriptor must be an object with a 'type' key")
     kind = desc["type"]
-    if kind == "free":
-        return FreeSpace(int(desc["dim"]))
-    if kind == "nonnegative":
-        return NonnegativeOrthant(int(desc["dim"]))
+    if kind in ("free", "nonnegative"):
+        if type(desc["dim"]) is not int:  # not a bool, not a float
+            raise ValueError(f"set dimension must be an integer, got {desc['dim']!r}")
+        return (FreeSpace if kind == "free" else NonnegativeOrthant)(desc["dim"])
     if kind == "box":
         lower = [_parse_bound(v, "lower") for v in desc["lower"]]
         upper = [_parse_bound(v, "upper") for v in desc["upper"]]
@@ -107,7 +107,10 @@ def load_problem(path: Path) -> ProblemSpec:
         n = simple_set.dim
         if n == 0:
             raise ValueError("set has dimension 0; a problem needs at least one variable")
-        A = np.asarray(document.get("A", []), dtype=float).reshape(-1, n)
+        A = np.asarray(document.get("A", []), dtype=float)
+        if A.size and A.ndim != 2:
+            raise ValueError("A must be a list of rows, one per constraint")
+        A = A if A.size else A.reshape(0, n)  # [] means no constraints
         b = np.asarray(document.get("b", []), dtype=float).reshape(-1)
         rho = float(document.get("rho", 1.0))
         return ProblemSpec(objective=objective, A=A, b=b, set=simple_set, rho=rho)

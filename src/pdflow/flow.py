@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -115,12 +115,12 @@ class ProblemSpec:
         b = np.asarray(self.b, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be a matrix")
-        if b.shape != (A.shape[0],):
-            raise ValueError(f"b must have {A.shape[0]} entries, got shape {b.shape}")
         if A.shape[1] != self.set.dim:
             raise ValueError(
                 f"A has {A.shape[1]} columns but the set has dimension {self.set.dim}"
             )
+        if b.shape != (A.shape[0],):
+            raise ValueError(f"b must have {A.shape[0]} entries, got shape {b.shape}")
         c = self.objective.c
         if c is not None and np.shape(c) != (self.set.dim,):
             raise ValueError(f"c must have {self.set.dim} entries, got shape {np.shape(c)}")
@@ -258,17 +258,18 @@ def dual_field(problem: ProblemSpec, x) -> np.ndarray:
 
 
 def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
-    """The state ``s = [x0; v0]`` and a function advancing it in place by one step.
+    """``(s, k1, first, advance)``: a step is ``first()``, which fills ``k1``
+    at the state ``s = [x0; v0]``, then ``advance()``, which moves ``s`` in place.
 
     Euler is proximal: ``s += dt * field(s)``, then the x-slice is projected
     onto the set.  Heun and RK4 project each stage field's x-slice onto the
     tangent cone at its stage point, and each stage point onto the set.
+    ``k1[n:]`` is ``A x - b`` for all three.
     """
     n, field = problem.dim, problem._field
-    project, tangent = problem.set.project, problem.set._tangent
+    project, tangent = problem.set._project_in_place, problem.set._tangent
     s = np.concatenate([x0, v0])
     u, k1, k2, k3, k4 = np.empty((5, s.size))
-    x = s[:n]
 
     def stage(point, out):  # the projected field at a stage point
         field(point, out)
@@ -277,30 +278,26 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
 
     def move(k, h, out):  # out = s + h k, x-slice projected onto the set
         np.add(s, h * k, out=out)
-        out[:n] = project(out[:n])
+        project(out[:n])
         return out
 
-    def euler():  # move(field(s, k1), dt, s) without its temporaries
-        g = field(s, k1)
-        g *= dt
-        np.add(s, g, out=s)
-        x[...] = project(x)
-
     def heun():
-        stage(move(stage(s, k1), dt, u), k2)
+        stage(move(k1, dt, u), k2)
         move(k1 + k2, dt / 2.0, s)
 
     def rk4():
-        stage(move(stage(s, k1), dt / 2.0, u), k2)
+        stage(move(k1, dt / 2.0, u), k2)
         stage(move(k2, dt / 2.0, u), k3)
         stage(move(k3, dt, u), k4)
         move(k1 + 2.0 * k2 + 2.0 * k3 + k4, dt / 6.0, s)
 
-    return s, {"euler": euler, "heun": heun, "rk4": rk4}[integrator]
+    first = partial(field if integrator == "euler" else stage, s, k1)
+    return s, k1, first, {"euler": partial(move, k1, dt, s), "heun": heun, "rk4": rk4}[integrator]
 
 
 def _step(problem: ProblemSpec, state: FlowState, dt: float, integrator: str) -> FlowState:
-    s, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    s, _, first, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    first()
     advance()
     return FlowState(x=s[: problem.dim], v=s[problem.dim :], t=state.t + dt)
 
@@ -337,13 +334,20 @@ def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
     return float(np.linalg.norm(stationarity) + np.linalg.norm(feasibility))
 
 
-def lyapunov_distance(state: FlowState, saddle: FlowState) -> float:
-    """Half the squared joint distance to a reference saddle point."""
-    if state.x.shape != saddle.x.shape or state.v.shape != saddle.v.shape:
-        raise ValueError("dimension mismatch between state and saddle")
-    dx = state.x - saddle.x
-    dv = state.v - saddle.v
-    return 0.5 * (float(dx @ dx) + float(dv @ dv))
+def _feasibility_gate(problem: ProblemSpec, tol: float):
+    """``(gate0, gate1)``: the field's ``||k1[n:]||`` is at most ``gate0 +
+    gate1 ||s||`` wherever ``||A.dot(x) - b||`` (:func:`kkt_residual`'s
+    arithmetic) is within ``tol``.
+
+    The two sum in different orders; each lies within gamma_k (|A| |x| + |b|)
+    of ``A x - b`` (k = n + m + 1, gamma_k = k u / (1 - k u)), so their norms
+    differ by at most 2 gamma_k (||A||_F ||s|| + ||b||).  ``rel`` covers the
+    rounding of the norms themselves.
+    """
+    A, b, n, m = problem.A, problem.b, problem.dim, problem.num_constraints
+    ku, lu = (n + m + 1) * 2.0**-53, (n + 2) * (m + 2) * 2.0**-53
+    slack, rel = 2.0 * ku / (1.0 - ku), 1.0 + 4.0 * lu / (1.0 - lu)
+    return (tol + slack * math.sqrt(b.dot(b))) * rel, slack * float(np.linalg.norm(A)) * rel
 
 
 def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveResult:
@@ -355,21 +359,24 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     :class:`DivergenceError` if an iterate stops being finite.
 
     Bit for bit, this iterates and stops like the configured stepper with
-    :func:`kkt_residual`, which is evaluated in full only on recorded steps
-    or once feasibility alone is within ``tol`` (before, the sum exceeds it).
+    :func:`kkt_residual`.  One field evaluation per step feeds both the step
+    and the stop test: the residual is evaluated in full, with
+    ``kkt_residual``'s arithmetic, only on recorded steps or once the
+    field's ``A x - b`` admits feasibility within ``tol`` (before, the sum
+    exceeds it).
     """
-    n = problem.dim
+    n, m = problem.dim, problem.num_constraints
     v0 = np.asarray(init.v, dtype=float)
-    if v0.shape != (problem.num_constraints,):
-        raise ValueError(
-            f"dual init must have {problem.num_constraints} entries, got shape {v0.shape}"
-        )
-    x0 = problem.set.project(np.asarray(init.x, dtype=float))
-    s, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
-    x, v = s[:n], s[n:]
+    if v0.shape != (m,):
+        raise ValueError(f"dual init must have {m} entries, got shape {v0.shape}")
+    x0 = problem.set.project(init.x)
+    s, k1, first, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
+    x, v, dual = s[:n], s[n:], k1[n:]
     A, AT, b = problem.A, problem.A.T, problem.b
     grad, tangent = problem.objective.gradient, problem.set._tangent
-    dt, tol = config.dt, config.tol
+    dt, tol, stride, max_steps = config.dt, config.tol, config.record_stride, config.max_steps
+    gate0, gate1 = _feasibility_gate(problem, tol)
+    gate = gate0 + gate1 * math.sqrt(s.dot(s))
 
     trajectory: list[TrajectoryPoint] = []
     record = _make_recorder(problem, trajectory)
@@ -378,25 +385,30 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     # transient overflow warnings that precede it
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            # kkt_residual's arithmetic; ndarray.dot is @ with less dispatch
-            r = A.dot(x) - b
-            feasibility = math.sqrt(r.dot(r))
-            due = steps % config.record_stride == 0
-            if due or feasibility <= tol or steps >= config.max_steps:
+            first()
+            due = steps % stride == 0
+            # `not >` lets a NaN through to the exact test
+            if due or not math.sqrt(dual.dot(dual)) > gate or steps >= max_steps:
+                # kkt_residual's arithmetic; ndarray.dot is @ with less dispatch
+                r = A.dot(x) - b
                 stationarity = tangent(x, -grad(x) - AT.dot(v))
-                residual = math.sqrt(stationarity.dot(stationarity)) + feasibility
+                residual = math.sqrt(stationarity.dot(stationarity)) + math.sqrt(r.dot(r))
                 if due:
                     record(t, x, v, residual)
                     last_recorded = steps
-                if residual <= tol or steps >= config.max_steps:
+                if residual <= tol or steps >= max_steps:
                     break
             advance()
             t += dt
             steps += 1
-            if not np.isfinite(s).all():
+            ss = s.dot(s)  # may overflow while s stays finite
+            if not math.isfinite(ss) and not np.isfinite(s).all():
+                i = int(np.argmin(np.isfinite(s)))
+                at = f"x[{i}]" if i < n else f"v[{i - n}]"
                 raise DivergenceError(
-                    f"non-finite iterate at step {steps}; try a smaller dt than {dt:g}"
+                    f"non-finite iterate at step {steps}; {at} = {s[i]}; try a smaller dt than {dt:g}"
                 )
+            gate = gate0 + gate1 * math.sqrt(ss)
     if last_recorded != steps:
         record(t, x, v, residual)
     return SolveResult(

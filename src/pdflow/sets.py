@@ -38,7 +38,13 @@ class SimpleSet:
     dim: int
 
     def project(self, x) -> np.ndarray:
-        """Nearest point of the set to ``x``."""
+        """Nearest point of the set to ``x``, as a new array."""
+        x = _as_vector(x, self.dim).copy()
+        self._project_in_place(x)
+        return x
+
+    def _project_in_place(self, x: np.ndarray) -> None:
+        """Overwrite ``x`` with its nearest point, unchecked, as the solver does."""
         raise NotImplementedError
 
     def project_tangent(self, x, v) -> np.ndarray:
@@ -80,8 +86,8 @@ class FreeSpace(SimpleSet):
             raise ValueError("dimension must be nonnegative")
         self.dim = int(dim)
 
-    def project(self, x) -> np.ndarray:
-        return _as_vector(x, self.dim).copy()
+    def _project_in_place(self, x) -> None:
+        pass
 
     def _tangent(self, x, v) -> np.ndarray:
         return v.copy()
@@ -102,8 +108,8 @@ class NonnegativeOrthant(SimpleSet):
             raise ValueError("dimension must be nonnegative")
         self.dim = int(dim)
 
-    def project(self, x) -> np.ndarray:
-        return np.maximum(_as_vector(x, self.dim), 0.0)
+    def _project_in_place(self, x) -> None:
+        np.maximum(x, 0.0, out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
         # at the boundary x_i = 0 only outward (negative) motion is removed
@@ -139,8 +145,8 @@ class Box(SimpleSet):
         self.upper.setflags(write=False)
         self.dim = lower.size
 
-    def project(self, x) -> np.ndarray:
-        return np.clip(_as_vector(x, self.dim), self.lower, self.upper)
+    def _project_in_place(self, x) -> None:
+        np.clip(x, self.lower, self.upper, out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
         lo, hi = self.lower, self.upper
@@ -171,15 +177,13 @@ class Ball(SimpleSet):
         self.radius = radius
         self.dim = center.size
 
-    def project(self, x) -> np.ndarray:
-        x = _as_vector(x, self.dim)
+    def _project_in_place(self, x) -> None:
         d = x - self.center
         r = float(np.linalg.norm(d))
         # the roundoff shell counts as inside so that projecting twice is
         # exactly idempotent (radial rescaling is only ulp-accurate)
-        if r <= self.radius * (1.0 + 1e-14):
-            return x.copy()
-        return self.center + d * (self.radius / r)
+        if r > self.radius * (1.0 + 1e-14):
+            np.add(self.center, d * (self.radius / r), out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
         d = x - self.center
@@ -214,11 +218,9 @@ class Product(SimpleSet):
             slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])
         )
 
-    def project(self, x) -> np.ndarray:
-        x = _as_vector(x, self.dim)
-        return np.concatenate(
-            [c.project(x[s]) for c, s in zip(self.components, self._slices)]
-        )
+    def _project_in_place(self, x) -> None:
+        for c, s in zip(self.components, self._slices):
+            c._project_in_place(x[s])
 
     def _tangent(self, x, v) -> np.ndarray:
         return np.concatenate(
@@ -227,16 +229,3 @@ class Product(SimpleSet):
 
     def __repr__(self):
         return f"Product({list(self.components)!r})"
-
-
-def tangent_quotient(set_: SimpleSet, x, v, delta: float) -> np.ndarray:
-    """Difference quotient (P(x + delta*v) - x) / delta.
-
-    Converges to ``project_tangent(x, v)`` as ``delta -> 0``; used in tests
-    as an independent oracle for the closed forms.
-    """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    x = _as_vector(x, set_.dim)
-    v = _as_vector(v, set_.dim)
-    return (set_.project(x + delta * v) - x) / delta

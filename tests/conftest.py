@@ -1,6 +1,7 @@
 """Shared test helpers: random connected graphs, a per-node reference and
-the finite-difference oracle for the distributed node fields, and the
-matrix-exponential oracle for integrator orders."""
+the finite-difference oracle for the distributed node fields, the
+tangent-quotient and Lyapunov-distance oracles, and the matrix-exponential
+oracle for integrator orders."""
 
 import dataclasses
 
@@ -88,6 +89,16 @@ def strictly_interior(set_, x, margin=1e-6) -> bool:
             for c, s in zip(set_.components, set_._slices)
         )
     raise TypeError(set_)
+
+
+def tangent_quotient(set_, x, v, delta: float) -> np.ndarray:
+    """Difference quotient (P(x + delta*v) - x) / delta.
+
+    Converges to ``project_tangent(x, v)`` as ``delta -> 0``: an independent
+    oracle for the closed forms.
+    """
+    x = np.asarray(x, dtype=float)
+    return (set_.project(x + delta * np.asarray(v, dtype=float)) - x) / delta
 
 
 # ------------------------------------------------- graphs and networks
@@ -240,6 +251,15 @@ def saddle_test_system(q=1.0, a=1.0, b0=1.0, rho=1.0):
     c = np.array([rho * a * b0, -b0])
     z_star = -np.linalg.solve(M, c)
     return problem, M, z_star
+
+
+def lyapunov_distance(state: FlowState, saddle: FlowState) -> float:
+    """Half the squared joint distance to a reference saddle point."""
+    if state.x.shape != saddle.x.shape or state.v.shape != saddle.v.shape:
+        raise ValueError("dimension mismatch between state and saddle")
+    dx = state.x - saddle.x
+    dv = state.v - saddle.v
+    return 0.5 * (float(dx @ dx) + float(dv @ dv))
 
 
 def saddle_global_error(stepper, dt, horizon, z0):

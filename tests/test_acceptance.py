@@ -13,10 +13,12 @@ import pytest
 
 from conftest import (
     integrator_order_slope,
+    lyapunov_distance,
     make_set_variants,
     random_connected_graph,
     sample_in_set,
     strictly_interior,
+    tangent_quotient,
     worst_field_fd_error,
 )
 from pdflow import connectivity as distnet
@@ -25,7 +27,6 @@ from pdflow.flow import (
     SolverConfig,
     euler_step,
     heun_step,
-    lyapunov_distance,
     rk4_step,
     solve,
 )
@@ -40,7 +41,6 @@ from pdflow.presets import (
     example3_graph,
     example4_graph,
 )
-from pdflow.sets import tangent_quotient
 
 
 def _report(number, name):

@@ -172,6 +172,29 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert message in err and str(path) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dim", [2.7, True])
+    def test_non_integer_dimension_is_input_error(self, tmp_path, capsys, dim):
+        # neither truncated to 2 nor taken as 1
+        doc = {"objective": {"type": "linear", "c": [1.0, 1.0]}, "set": {"type": "free", "dim": dim}}
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"set dimension must be an integer, got {dim!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "A,b,message",
+        [
+            ([1.0, -1.0], [0.0], "A must be a list of rows"),  # not read as one row
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0] * 3, "A has 3 columns"),  # not 3x2
+        ],
+        ids=["flat", "too-wide"],
+    )
+    def test_misshapen_constraint_matrix_is_input_error(self, tmp_path, capsys, A, b, message):
+        path = write_problem(tmp_path, dict(EXAMPLE1_DOC, A=A, b=b))
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_zero_dimensional_set_is_input_error(self, tmp_path, capsys):
         doc = {"objective": {"type": "linear", "c": []}, "set": {"type": "free", "dim": 0}}
         path = write_problem(tmp_path, doc)

@@ -6,24 +6,25 @@ unconstrained linear saddle system.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from conftest import integrator_order_slope, saddle_global_error
+from conftest import integrator_order_slope, lyapunov_distance, saddle_global_error
 from pdflow.flow import (
     DivergenceError,
     FlowState,
     Objective,
     ProblemSpec,
     SolverConfig,
+    _feasibility_gate,
     augmented_lagrangian,
     dual_field,
     euler_step,
     heun_step,
     kkt_residual,
     lagrangian,
-    lyapunov_distance,
     primal_field,
     rk4_step,
     solve,
@@ -447,6 +448,73 @@ class TestSolve:
             assert f"non-finite iterate at step {steps};" in str(err.value), integrator
 
     @pytest.mark.parametrize("integrator", list(STEPPERS))
+    def test_stops_at_first_step_within_tol_on_example2(self, integrator):
+        # the stop test reads A x - b off the field, whose 8x8 matvec sums in
+        # another order than kkt_residual's 3x5 one; the gate's rounding
+        # slack must keep the stop on the stepper's step
+        p, n, tol = example2_problem(), 5, 1e-3
+        cfg = SolverConfig(
+            dt=1e-2, max_steps=10**6, tol=tol, record_stride=10**6, integrator=integrator
+        )
+        init = FlowState(x=np.zeros(5), v=np.zeros(3))
+        res = solve(p, cfg, init)
+        s, steps, differing, field = init, 0, 0, np.empty(8)
+        while kkt_residual(p, s) > tol:
+            p._field(np.concatenate([s.x, s.v]), field)
+            differing += not np.array_equal(field[n:], p.A.dot(s.x) - p.b)
+            s = STEPPERS[integrator](p, s, cfg.dt)
+            steps += 1
+        assert differing > 0
+        assert res.converged and res.steps_taken == steps
+        assert np.array_equal(res.final.x, s.x)
+        assert np.array_equal(res.final.v, s.v)
+        assert res.residual == kkt_residual(p, s)
+
+    def test_matches_manual_euler_iteration_bitwise_on_example2(self):
+        p = example2_problem()
+        cfg = SolverConfig(dt=1e-2, max_steps=10**6, tol=1e-3, record_stride=50)
+        init = FlowState(x=np.zeros(5), v=np.zeros(3))
+        res = solve(p, cfg, init)
+        s = init
+        for step in range(res.steps_taken):
+            if step % cfg.record_stride == 0:
+                point = res.trajectory[step // cfg.record_stride]
+                assert np.array_equal(point.x, s.x) and np.array_equal(point.v, s.v)
+            s = euler_step(p, s, cfg.dt)
+        assert np.array_equal(res.final.x, s.x)
+        assert np.array_equal(res.final.v, s.v)
+        assert res.residual == kkt_residual(p, s)
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            quadratic_free_problem(q=1.0, a=1.0),
+            ProblemSpec(  # only x[2] moves
+                objective=Objective.quadratic(np.diag([0.0, 0.0, 1.0]), np.zeros(3)),
+                A=np.zeros((1, 3)),
+                b=np.zeros(1),
+                set=FreeSpace(3),
+            ),
+        ],
+        ids=["coupled", "third-coordinate"],
+    )
+    def test_divergence_error_names_first_non_finite_coordinate(self, problem):
+        n = problem.dim
+        init = FlowState(x=np.ones(n), v=np.zeros(1))
+        for integrator, stepper in STEPPERS.items():
+            cfg = SolverConfig(dt=1e6, max_steps=10_000, tol=1e-12, integrator=integrator)
+            with pytest.raises(DivergenceError) as err:
+                solve(problem, cfg, init)
+            s, steps = np.concatenate([init.x, init.v]), 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while np.isfinite(s).all():
+                    state = stepper(problem, FlowState(x=s[:n], v=s[n:]), cfg.dt)
+                    s, steps = np.concatenate([state.x, state.v]), steps + 1
+            i = int(np.flatnonzero(~np.isfinite(s))[0])
+            at = f"x[{i}]" if i < n else f"v[{i - n}]"
+            assert f"non-finite iterate at step {steps}; {at} = {s[i]};" in str(err.value)
+
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
     def test_callable_objective_matches_stepper_and_optimum(self, integrator):
         # the gradient is not folded into the kernel: it is called per field
         p = softplus_problem()
@@ -487,6 +555,36 @@ class TestSolve:
         assert res.trajectory[0].t == 0.0
         for point in res.trajectory:
             assert p.set.contains(point.x, tol=1e-12)
+
+
+class TestFeasibilityGate:
+    def test_field_passes_wherever_feasibility_is_within_tol(self):
+        # tol equal to a state's own feasibility, in kkt_residual's
+        # arithmetic, is the worst case: the field's A x - b, summed in
+        # another order, must still pass the gate there
+        rng = np.random.default_rng(46)
+        problems = [example2_problem()] + [
+            ProblemSpec(
+                objective=Objective.linear(rng.normal(size=n)),
+                A=rng.normal(scale=scale, size=(m, n)),
+                b=rng.normal(scale=scale, size=m),
+                set=FreeSpace(n),
+            )
+            for n, m, scale in [(12, 4, 1.0), (60, 30, 1e-3), (30, 60, 1e3)]
+        ]
+        above = 0
+        for p in problems:
+            n, field = p.dim, np.empty(p.dim + p.num_constraints)
+            for _ in range(2000):
+                s = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=field.size)
+                r = p.A.dot(s[:n]) - p.b
+                tol = math.sqrt(r.dot(r))
+                p._field(s, field)
+                estimate = math.sqrt(field[n:].dot(field[n:]))
+                gate0, gate1 = _feasibility_gate(p, tol)
+                assert estimate <= gate0 + gate1 * math.sqrt(s.dot(s))
+                above += estimate > tol
+        assert above > 0  # states only the rounding slack lets through
 
 
 class TestIntegratorOrder:

@@ -8,15 +8,8 @@ projections against idempotence, nonexpansiveness and the Moreau identity.
 import numpy as np
 import pytest
 
-from conftest import make_set_variants, sample_in_set, strictly_interior
-from pdflow.sets import (
-    Ball,
-    Box,
-    FreeSpace,
-    NonnegativeOrthant,
-    Product,
-    tangent_quotient,
-)
+from conftest import make_set_variants, sample_in_set, strictly_interior, tangent_quotient
+from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 make_sets = make_set_variants
 
@@ -62,6 +55,32 @@ class TestProjectPoint:
                 [NonnegativeOrthant(2).project(x[:2]), Ball(center=[0.0, 0.0], radius=1.0).project(x[2:])]
             )
             assert np.array_equal(prod.project(x), expected)
+
+
+class TestProjectInPlace:
+    @pytest.mark.parametrize("set_", make_sets(), ids=repr)
+    def test_matches_project_bitwise(self, set_):
+        # the solver projects the x-slice of its stacked state in place, so
+        # the projection goes through a view and leaves the rest untouched
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            x = rng.normal(scale=3.0, size=set_.dim)
+            for point in (x, set_.project(x)):
+                state = np.concatenate([point, [7.0, -7.0]])
+                set_._project_in_place(state[: set_.dim])
+                assert state[: set_.dim].tobytes() == set_.project(point).tobytes()
+                assert np.array_equal(state[set_.dim :], [7.0, -7.0])
+
+    @pytest.mark.parametrize("set_", make_sets(), ids=repr)
+    def test_project_returns_a_new_array(self, set_):
+        rng = np.random.default_rng(14)
+        x = set_.project(rng.normal(scale=3.0, size=set_.dim))
+        x.setflags(write=False)
+        for point in (x, rng.normal(scale=3.0, size=set_.dim)):
+            before = point.copy()
+            projected = set_.project(point)
+            assert not np.shares_memory(projected, point)
+            assert np.array_equal(point, before)
 
 
 class TestContains:

@@ -19,20 +19,15 @@ from .flow import (
     ProblemSpec,
     SolveResult,
     SolverConfig,
-    augmented_lagrangian,
-    dual_field,
     euler_step,
     heun_step,
     kkt_residual,
-    lagrangian,
-    primal_field,
     rk4_step,
     solve,
 )
 from .graphs import (
     Graph,
     algebraic_connectivity,
-    edge_matrix,
     parse_graph,
     weighted_laplacian,
 )
@@ -54,10 +49,7 @@ from .connectivity import (
     assemble_weights,
     assembled_connectivity,
     initial_network,
-    network_fields,
     node_matrices,
-    objective_value,
-    run_round,
     simulate,
 )
 
@@ -70,18 +62,13 @@ __all__ = [
     "ProblemSpec",
     "SolveResult",
     "SolverConfig",
-    "augmented_lagrangian",
-    "dual_field",
     "euler_step",
     "heun_step",
     "kkt_residual",
-    "lagrangian",
-    "primal_field",
     "rk4_step",
     "solve",
     "Graph",
     "algebraic_connectivity",
-    "edge_matrix",
     "parse_graph",
     "weighted_laplacian",
     "Ball",
@@ -97,9 +84,6 @@ __all__ = [
     "assemble_weights",
     "assembled_connectivity",
     "initial_network",
-    "network_fields",
     "node_matrices",
-    "objective_value",
-    "run_round",
     "simulate",
 ]

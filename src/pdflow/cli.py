@@ -111,7 +111,7 @@ def load_problem(path: Path) -> ProblemSpec:
         if A.size and A.ndim != 2:
             raise ValueError("A must be a list of rows, one per constraint")
         A = A if A.size else A.reshape(0, n)  # [] means no constraints
-        b = np.asarray(document.get("b", []), dtype=float).reshape(-1)
+        b = np.asarray(document.get("b", []), dtype=float)
         rho = float(document.get("rho", 1.0))
         return ProblemSpec(objective=objective, A=A, b=b, set=simple_set, rho=rho)
     except KeyError as err:

@@ -20,6 +20,7 @@ zero Laplacian entries keep each node's update local.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .flow import DivergenceError, SolverConfig
 from .graphs import Graph, algebraic_connectivity, weighted_laplacian
-from .spectral import smoothed_max_eig, smoothed_max_eig_grad
+from .spectral import smoothed_max_eig_grad
 
 # A weight contribution counts as sitting on the zero bound within this band.
 _ACTIVITY_TOL = 1e-9
@@ -39,7 +40,8 @@ class NetworkState:
 
     Row i (0-based) of each array belongs to node i + 1; column k of ``W``
     to edge label k + 1.  Contributions stay nonnegative under the
-    projected update.
+    projected update.  The constructor copies the arrays; :func:`simulate`
+    advances such a copy in place and returns it read-only.
     """
 
     graph: Graph
@@ -52,8 +54,8 @@ class NetworkState:
     def __post_init__(self):
         if self.graph.n < 2:
             raise ValueError("connectivity needs at least 2 nodes")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be positive and finite")
         n, B = self.graph.n, self.graph.incidence
         for name, shape in (("mu", (n,)), ("W", B.shape), ("Z", (n, n, n)), ("v", (n,))):
             array = np.array(getattr(self, name), dtype=float)
@@ -111,7 +113,7 @@ def _broadcast(network: NetworkState):
     """Phase 1 of a round: every node's smoothed value and its gradient G_i."""
     X = node_matrices(network)
     _require_finite(X)
-    return smoothed_max_eig_grad(X, network.eps, return_value=True)
+    return smoothed_max_eig_grad(X, network.eps)
 
 
 def _fields(network: NetworkState, G: np.ndarray) -> Fields:
@@ -133,63 +135,17 @@ def _fields(network: NetworkState, G: np.ndarray) -> Fields:
     return Fields(dmu=G.reshape(len(G), -1).sum(axis=1), dW=dW, dZ=dZ, dv=g)
 
 
-def network_fields(network: NetworkState) -> Fields:
-    """Every node's unprojected field values at the current state."""
-    return _fields(network, _broadcast(network)[1])
-
-
-def run_round(network: NetworkState, dt: float) -> NetworkState:
-    """One synchronous round: broadcast, then simultaneous Euler updates.
-
-    Every node computes its fields from the pre-round state; all updates
-    then apply at once.  The weight update uses the proximal form
-    w+ = max(0, w + dt * raw_field), which keeps contributions nonnegative
-    exactly.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return _apply_round(network, dt, network_fields(network))
-
-
-def _apply_round(network: NetworkState, dt: float, fields: Fields) -> NetworkState:
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = network.mu + dt * fields.dmu
-        W = np.maximum(network.W + dt * fields.dW, 0.0)
-        Z = network.Z + dt * fields.dZ
-        v = network.v + dt * fields.dv
-    _require_finite(mu, W, Z, v)
-    return NetworkState(graph=network.graph, mu=mu, W=W, Z=Z, v=v, eps=network.eps)
-
-
-def network_residual(network: NetworkState) -> float:
+def _residual_from_messages(network: NetworkState, fields: Fields, triu: tuple) -> float:
     """Sum of absolute budget violations plus the Euclidean norm of all
     projected primal fields (mu, w and the upper-triangle z coefficients of
-    every node); zero exactly at equilibria of the dynamics."""
-    triu = np.triu_indices(network.graph.n)
-    return _residual_from_messages(network, network_fields(network), triu)
-
-
-def _residual_from_messages(network: NetworkState, fields: Fields, triu: tuple) -> float:
-    # triu: the upper-triangle indices of an N x N matrix, built once per run
+    every node); zero exactly at equilibria of the dynamics.  ``triu`` holds
+    the upper-triangle indices of an N x N matrix, built once per run."""
     rows, cols = triu
     # tangent cone of the orthant: a contribution on the bound may not decrease
     dW = np.where(network.W <= _ACTIVITY_TOL, np.maximum(fields.dW, 0.0), fields.dW)
     dz = fields.dZ[:, rows, cols]
     sq = fields.dmu @ fields.dmu + np.sum(dW * dW) + np.sum(dz * dz)
     return float(np.abs(fields.dv).sum() + np.sqrt(sq))
-
-
-def objective_value(network: NetworkState) -> float:
-    """Sum over nodes of the smoothed maximum eigenvalue of X_i."""
-    return float(smoothed_max_eig(node_matrices(network), network.eps).sum())
-
-
-def aggregate_augmented_lagrangian(network: NetworkState) -> float:
-    """Network-wide augmented Lagrangian (damping 1); finite-difference
-    oracle target for the node fields."""
-    g = network.budget_violation()
-    values = smoothed_max_eig(node_matrices(network), network.eps)
-    return float(np.sum(values + network.v * g + 0.5 * g * g))
 
 
 def assemble_weights(network: NetworkState) -> np.ndarray:
@@ -236,16 +192,26 @@ def simulate(
 ):
     """Run synchronous rounds until the network residual drops below tol.
 
+    In a round every node computes its fields from the pre-round state, then
+    all updates apply at once.  The weight update uses the proximal form
+    w+ = max(0, w + dt * raw_field), which keeps contributions nonnegative
+    exactly.
+
     Returns ``(final_network, history)`` where history holds
     :class:`HistoryPoint` rows every ``record_stride`` rounds plus the final
     one, so the last row carries the final round count and residual.  Only
     the ``dt``, ``max_steps``, ``tol`` and ``record_stride`` fields of the
-    config apply; rounds always use the proximal Euler update.  ``init``
-    supplies the starting arrays (a warm start); the rounds run at ``eps``.
+    config apply.  ``init`` supplies the starting arrays (a warm start) and
+    is left unchanged; the rounds run at ``eps``.  The state is validated
+    once, at the start, and its copy of the arrays is advanced in place.
     """
     if init is not None and init.graph is not graph and init.graph.edges != graph.edges:
         raise ValueError("init was built for a different graph")
     network = initial_network(graph, eps) if init is None else replace(init, eps=eps)
+    # a fresh copy, in the order of the Fields that move it
+    arrays = (network.mu, network.W, network.Z, network.v)
+    for array in arrays:
+        array.setflags(write=True)
 
     history: list[HistoryPoint] = []
     rounds, triu = 0, np.triu_indices(graph.n)
@@ -265,9 +231,16 @@ def simulate(
                 )
             )
         if done:
-            return network, history
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for array, field in zip(arrays, fields):
+                array += config.dt * field
+            np.maximum(network.W, 0.0, out=network.W)
         try:
-            network = _apply_round(network, config.dt, fields)
+            _require_finite(*arrays)
         except DivergenceError as err:
             raise DivergenceError(f"round {rounds + 1}: {err}") from err
         rounds += 1
+    for array in arrays:
+        array.setflags(write=False)
+    return network, history

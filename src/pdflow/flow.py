@@ -199,10 +199,10 @@ class SolverConfig:
     record_stride: int = 100
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.record_stride < 1:
@@ -226,35 +226,6 @@ class SolveResult:
     residual: float
     steps_taken: int
     trajectory: list = field(default_factory=list)
-
-
-def lagrangian(problem: ProblemSpec, x, v) -> float:
-    """f(x) + v^T (A x - b)."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != (problem.dim,) or v.shape != (problem.num_constraints,):
-        raise ValueError("dimension mismatch in lagrangian")
-    return float(problem.objective.evaluate(x) + v @ (problem.A @ x - problem.b))
-
-
-def augmented_lagrangian(problem: ProblemSpec, x, v) -> float:
-    """Lagrangian plus the quadratic penalty rho/2 * ||A x - b||^2."""
-    x = np.asarray(x, dtype=float)
-    r = problem.A @ x - problem.b
-    return lagrangian(problem, x, v) + 0.5 * problem.rho * float(r @ r)
-
-
-def primal_field(problem: ProblemSpec, x, v) -> np.ndarray:
-    """Primal velocity: the descent direction projected onto the tangent cone at x."""
-    s = np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
-    g = problem._field(s, np.empty_like(s))
-    return problem.set.project_tangent(s[: problem.dim], g[: problem.dim])
-
-
-def dual_field(problem: ProblemSpec, x) -> np.ndarray:
-    """Dual velocity: the constraint violation A x - b."""
-    x = np.asarray(x, dtype=float)
-    return problem.A @ x - problem.b
 
 
 def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):

@@ -1,4 +1,4 @@
-"""Labeled undirected graphs, edge matrices and weighted Laplacians.
+"""Labeled undirected graphs and weighted Laplacians.
 
 Nodes are numbered 1..N and edges carry 1-based labels assigned in input
 order; the labels are part of the external contract so that per-node weight
@@ -90,24 +90,9 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 
 
-def edge_matrix(graph: Graph, k: int) -> np.ndarray:
-    """Rank-one Laplacian contribution of edge ``k``.
-
-    For edge k = (i, j) the matrix has +1 at (i,i) and (j,j) and -1 at
-    (i,j) and (j,i); equivalently (e_i - e_j)(e_i - e_j)^T.
-    """
-    if not 1 <= k <= graph.num_edges:
-        raise ValueError(f"edge label {k} out of range 1..{graph.num_edges}")
-    i, j = graph.edges[k - 1]
-    E = np.zeros((graph.n, graph.n))
-    a, b = i - 1, j - 1
-    E[a, a] = E[b, b] = 1.0
-    E[a, b] = E[b, a] = -1.0
-    return E
-
-
 def weighted_laplacian(graph: Graph, weights) -> np.ndarray:
-    """Sum of ``weights[k-1] * edge_matrix(graph, k)`` over all edges: B diag(w) B^T."""
+    """B diag(w) B^T: the sum over edges k = (i, j) of ``weights[k-1]`` times
+    the rank-one Laplacian (e_i - e_j)(e_i - e_j)^T."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (graph.num_edges,):
         raise ValueError(

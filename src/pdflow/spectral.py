@@ -64,14 +64,14 @@ def smoothed_max_eig(matrix, eps: float):
     return _log_sum_exp(lam, eps)
 
 
-def smoothed_max_eig_grad(matrix, eps: float, return_value: bool = False):
-    """Gradient of :func:`smoothed_max_eig` with respect to the matrix.
+def smoothed_max_eig_grad(matrix, eps: float):
+    """:func:`smoothed_max_eig` and its gradient with respect to the matrix,
+    both from one eigendecomposition.
 
-    Returns the softmax-weighted sum of eigenvector outer products: a
-    symmetric PSD matrix with unit trace (one per matrix of a stack).
-    Invariant to eigenvector sign choices by construction.  With
-    ``return_value`` the result is ``(value, gradient)``, both from the
-    same eigendecomposition.
+    Returns ``(value, gradient)``.  The gradient is the softmax-weighted sum
+    of eigenvector outer products: a symmetric PSD matrix with unit trace
+    (one per matrix of a stack).  Invariant to eigenvector sign choices by
+    construction.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -80,4 +80,4 @@ def smoothed_max_eig_grad(matrix, eps: float, return_value: bool = False):
     weights /= weights.sum(axis=-1, keepdims=True)
     grad = (U * weights[..., None, :]) @ np.swapaxes(U, -1, -2)
     grad = (grad + np.swapaxes(grad, -1, -2)) / 2.0
-    return (_log_sum_exp(lam, eps), grad) if return_value else grad
+    return _log_sum_exp(lam, eps), grad

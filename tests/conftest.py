@@ -1,7 +1,9 @@
-"""Shared test helpers: random connected graphs, a per-node reference and
-the finite-difference oracle for the distributed node fields, the
-tangent-quotient and Lyapunov-distance oracles, and the matrix-exponential
-oracle for integrator orders."""
+"""Shared test helpers: random connected graphs and edge matrices, a
+per-node reference and the finite-difference oracle for the distributed node
+fields, the network's objective and augmented Lagrangian, one simulated
+round, the flow's Lagrangians and fields, the tangent-quotient and
+Lyapunov-distance oracles, and the matrix-exponential oracle for integrator
+orders."""
 
 import dataclasses
 
@@ -9,13 +11,16 @@ import numpy as np
 from scipy.linalg import expm
 
 from pdflow.connectivity import (
+    Fields,
     NetworkState,
-    aggregate_augmented_lagrangian,
-    network_fields,
+    _broadcast,
+    _fields,
+    node_matrices,
+    simulate,
 )
-from pdflow.flow import FlowState, Objective, ProblemSpec
-from pdflow.graphs import Graph, edge_matrix
-from pdflow.spectral import smoothed_max_eig_grad
+from pdflow.flow import FlowState, Objective, ProblemSpec, SolverConfig
+from pdflow.graphs import Graph
+from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad
 from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 
@@ -116,6 +121,22 @@ def random_connected_graph(rng, min_nodes=2, max_nodes=4) -> Graph:
     return Graph(n, edges)
 
 
+def edge_matrix(graph: Graph, k: int) -> np.ndarray:
+    """Rank-one Laplacian contribution of edge ``k``.
+
+    For edge k = (i, j) the matrix has +1 at (i,i) and (j,j) and -1 at
+    (i,j) and (j,i); equivalently (e_i - e_j)(e_i - e_j)^T.
+    """
+    if not 1 <= k <= graph.num_edges:
+        raise ValueError(f"edge label {k} out of range 1..{graph.num_edges}")
+    i, j = graph.edges[k - 1]
+    E = np.zeros((graph.n, graph.n))
+    a, b = i - 1, j - 1
+    E[a, a] = E[b, b] = 1.0
+    E[a, b] = E[b, a] = -1.0
+    return E
+
+
 def with_node(network: NetworkState, i: int, **rows) -> NetworkState:
     """A copy of ``network`` with node i's row of the named arrays replaced."""
     arrays = {}
@@ -167,7 +188,7 @@ def reference_fields(network: NetworkState):
     dz_l = -trace(S_i B_l), with S_i = sum_{j ~ i} (G_i - G_j).
     """
     graph, n = network.graph, network.graph.n
-    G = [smoothed_max_eig_grad(reference_node_matrix(network, i), network.eps)
+    G = [smoothed_max_eig_grad(reference_node_matrix(network, i), network.eps)[1]
          for i in range(1, n + 1)]
     dmu, dv = np.zeros(n), np.zeros(n)
     dW, dZ = np.zeros((n, graph.num_edges)), np.zeros((n, n, n))
@@ -185,6 +206,38 @@ def reference_fields(network: NetworkState):
             dZ[i - 1] += -np.trace(S @ B) * B
         dv[i - 1] = g
     return dmu, dW, dZ, dv
+
+
+# ------------------------------------------------- network oracles
+
+def network_fields(network: NetworkState) -> Fields:
+    """Every node's unprojected field values at the current state."""
+    return _fields(network, _broadcast(network)[1])
+
+
+def objective_value(network: NetworkState) -> float:
+    """Sum over nodes of the smoothed maximum eigenvalue of X_i."""
+    return float(smoothed_max_eig(node_matrices(network), network.eps).sum())
+
+
+def aggregate_augmented_lagrangian(network: NetworkState) -> float:
+    """Network-wide augmented Lagrangian (damping 1); finite-difference
+    oracle target for the node fields."""
+    g = network.budget_violation()
+    values = smoothed_max_eig(node_matrices(network), network.eps)
+    return float(np.sum(values + network.v * g + 0.5 * g * g))
+
+
+def one_round(network: NetworkState, dt: float):
+    """``(after, residual)``: :func:`simulate` from ``network`` for at most
+    one round, and the network residual before it (history row 0).
+
+    With a tol below any nonzero residual, the round runs unless the
+    residual is exactly zero, where simulate stops at round 0.
+    """
+    config = SolverConfig(dt=dt, max_steps=1, tol=1e-300)
+    after, history = simulate(network.graph, network.eps, config, init=network)
+    return after, history[0].residual
 
 
 # ------------------------------------------------- finite-difference oracle
@@ -230,6 +283,37 @@ def worst_field_fd_error(network: NetworkState) -> float:
     # the dual field is +dL/dv and linear in v, so it must match exactly
     assert np.array_equal(fields.dv, network.budget_violation())
     return worst
+
+
+# ------------------------------------------------- flow oracles
+
+def lagrangian(problem: ProblemSpec, x, v) -> float:
+    """f(x) + v^T (A x - b)."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape != (problem.dim,) or v.shape != (problem.num_constraints,):
+        raise ValueError("dimension mismatch in lagrangian")
+    return float(problem.objective.evaluate(x) + v @ (problem.A @ x - problem.b))
+
+
+def augmented_lagrangian(problem: ProblemSpec, x, v) -> float:
+    """Lagrangian plus the quadratic penalty rho/2 * ||A x - b||^2."""
+    x = np.asarray(x, dtype=float)
+    r = problem.A @ x - problem.b
+    return lagrangian(problem, x, v) + 0.5 * problem.rho * float(r @ r)
+
+
+def primal_field(problem: ProblemSpec, x, v) -> np.ndarray:
+    """Primal velocity: the descent direction projected onto the tangent cone at x."""
+    s = np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
+    g = problem._field(s, np.empty_like(s))
+    return problem.set.project_tangent(s[: problem.dim], g[: problem.dim])
+
+
+def dual_field(problem: ProblemSpec, x) -> np.ndarray:
+    """Dual velocity: the constraint violation A x - b."""
+    x = np.asarray(x, dtype=float)
+    return problem.A @ x - problem.b
 
 
 # ------------------------------------------------- linear saddle oracle

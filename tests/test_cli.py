@@ -118,6 +118,11 @@ class TestLoadProblem:
         assert p.num_constraints == 0
         assert p.objective.evaluate(np.array([1.0, 1.0])) == 1.0
 
+    def test_empty_constraints(self, tmp_path):
+        # [] means no constraints, for A and b alike
+        doc = dict(EXAMPLE1_DOC, A=[], b=[])
+        assert load_problem(write_problem(tmp_path, doc)).num_constraints == 0
+
     def test_json_error_mentions_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"objective": ')
@@ -186,8 +191,9 @@ class TestSolveCommand:
         [
             ([1.0, -1.0], [0.0], "A must be a list of rows"),  # not read as one row
             ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0] * 3, "A has 3 columns"),  # not 3x2
+            ([[1.0, -1.0]], [[0.0]], "b must have 1 entries"),  # not flattened
         ],
-        ids=["flat", "too-wide"],
+        ids=["flat", "too-wide", "nested-b"],
     )
     def test_misshapen_constraint_matrix_is_input_error(self, tmp_path, capsys, A, b, message):
         path = write_problem(tmp_path, dict(EXAMPLE1_DOC, A=A, b=b))
@@ -395,6 +401,22 @@ class TestExamplesCommand:
         value = "5" if flag == "--epsilon" else "rk4"
         assert main(["examples", name, flag, value, "--output", str(tmp_path)]) == EXIT_INPUT
         assert f"{flag} does not apply to {name}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "name,flag,value,field",
+        [
+            ("example2", "--tol", "inf", "tol"),
+            ("example1", "--dt", "inf", "dt"),
+            ("example4", "--epsilon", "1e400", "eps"),
+        ],
+    )
+    def test_non_finite_run_parameter_is_input_error(
+        self, tmp_path, capsys, name, flag, value, field
+    ):
+        assert main(["examples", name, flag, value, "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{field} must be positive and finite" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     def test_unknown_name_is_usage_error(self):

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    aggregate_augmented_lagrangian,
+    edge_matrix,
+    network_fields,
     num_basis,
+    objective_value,
+    one_round,
     random_connected_graph,
     reference_fields,
     reference_node_matrix,
@@ -20,21 +25,16 @@ from pdflow.connectivity import (
     DivergenceError,
     NetworkState,
     _broadcast,
-    aggregate_augmented_lagrangian,
     assemble_weights,
     assembled_connectivity,
     contributions_vector,
     initial_network,
-    network_fields,
-    network_residual,
     node_matrices,
-    objective_value,
     random_network,
-    run_round,
     simulate,
 )
 from pdflow.flow import SolverConfig
-from pdflow.graphs import Graph, edge_matrix
+from pdflow.graphs import Graph
 from pdflow.presets import EXAMPLE4_DT, EXAMPLE4_EPS, example4_graph
 from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad
 
@@ -57,7 +57,7 @@ def k2_equilibrium(eps=1e-3):
     to exactly zero, so every field evaluates to exactly 0.0.
     """
     net = NetworkState(K2, np.full(2, 2.0), np.ones((2, 1)), np.zeros((2, 2, 2)), np.zeros(2), eps)
-    G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
+    _, G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
     v = float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1])
     return dataclasses.replace(net, v=np.full(2, v))
 
@@ -144,13 +144,14 @@ class TestNodeFields:
         net = with_node(zero_network(K2, eps=0.5), 1, v=10.0)
         fields = network_fields(net)
         assert fields.dW[0, 0] < 0.0 < fields.dW[1, 0]
-        assert run_round(net, 0.1).W[0, 0] == 0.0
+        after, residual = one_round(net, 0.1)
+        assert after.W[0, 0] == 0.0
         rows, cols = np.triu_indices(2)
         dz = fields.dZ[:, rows, cols]
         expected = np.abs(fields.dv).sum() + np.sqrt(
             np.sum(fields.dmu**2) + fields.dW[1, 0] ** 2 + np.sum(dz**2)
         )
-        assert network_residual(net) == pytest.approx(expected, rel=1e-15)
+        assert residual == pytest.approx(expected, rel=1e-15)
 
     def test_symmetric_triangle_has_zero_z_field(self):
         # identical nodes on a vertex-transitive graph: G_i = G_j
@@ -216,19 +217,25 @@ class TestNodeFields:
 
 class TestRound:
     def test_equilibrium_is_fixed_point(self):
+        # every field is exactly zero, so a round would change nothing;
+        # simulate stops at round 0
         net = k2_equilibrium()
-        assert network_residual(net) == 0.0
-        assert_same_state(net, run_round(net, 0.05))
+        after, residual = one_round(net, 0.05)
+        assert residual == 0.0
+        assert_same_state(net, after)
+        fields = network_fields(net)
+        for name in fields._fields:
+            assert not getattr(fields, name).any(), name
 
     def test_zero_state_dual_update(self):
         # every node starts with empty budget: dv = -1, so v <- -dt
-        after = run_round(zero_network(P3), 0.25)
+        after, _ = one_round(zero_network(P3), 0.25)
         assert np.array_equal(after.v, np.full(3, -0.25))
 
     def test_deterministic(self):
         rng = np.random.default_rng(56)
         net = random_network(P3, 1e-2, rng)
-        assert_same_state(run_round(net, 1e-2), run_round(net, 1e-2))
+        assert_same_state(one_round(net, 1e-2)[0], one_round(net, 1e-2)[0])
 
     def test_matches_node_fields_applied_in_any_order(self):
         # recompute the round node by node, in reversed order, from the
@@ -237,7 +244,7 @@ class TestRound:
         graph = random_connected_graph(rng, min_nodes=4, max_nodes=4)
         net = random_network(graph, 1e-2, rng)
         dt = 1e-3
-        after = run_round(net, dt)
+        after, _ = one_round(net, dt)
         dmu, dW, dZ, dv = reference_fields(net)
         for i in reversed(range(graph.n)):
             assert after.mu[i] == pytest.approx(net.mu[i] + dt * dmu[i], abs=1e-14)
@@ -250,14 +257,14 @@ class TestRound:
         rng = np.random.default_rng(58)
         net = random_network(P3, 1e-2, rng)
         for _ in range(200):
-            net = run_round(net, 5e-2)
+            net, _ = one_round(net, 5e-2)
             assert (net.W >= 0.0).all()
 
     def test_divergence_names_node(self):
         # a huge budget violation overflows the dual update
         net = with_node(zero_network(K2, eps=1e-3), 1, W=[1e308])
         with pytest.raises(DivergenceError, match="node 1"):
-            run_round(net, 10.0)
+            one_round(net, 10.0)
 
 
 class TestAssembly:
@@ -329,6 +336,33 @@ class TestSimulate:
         assert warm[0].objective == cold[0].objective
         assert warm_net.eps == 0.5
         assert_same_state(warm_net, cold_net)
+
+    def test_init_left_unchanged(self):
+        # simulate advances its own copy: init keeps its values and stays
+        # read-only, also when the run diverges
+        init = random_network(P3, 1e-2, np.random.default_rng(64))
+        diverging = with_node(zero_network(K2), 1, W=[1e308])
+        copies = [dataclasses.replace(init), dataclasses.replace(diverging)]
+        simulate(P3, 1e-2, SolverConfig(dt=1e-2, max_steps=20, tol=1e-30), init=init)
+        with pytest.raises(DivergenceError):
+            simulate(K2, 1e-3, SolverConfig(dt=10.0, max_steps=1, tol=1e-30), init=diverging)
+        for start, copy in zip((init, diverging), copies):
+            assert_same_state(start, copy)
+            for name in ("mu", "W", "Z", "v"):
+                assert not getattr(start, name).flags.writeable, name
+
+    def test_returned_arrays_are_read_only(self):
+        net, _ = simulate(P3, 1e-2, SolverConfig(dt=1e-2, max_steps=5, tol=1e-30))
+        for name in ("mu", "W", "Z", "v"):
+            assert getattr(net, name).flags.writeable is False, name
+
+    def test_runs_from_one_init_agree(self):
+        init = random_network(P3, 1e-2, np.random.default_rng(65))
+        cfg = SolverConfig(dt=1e-2, max_steps=50, tol=1e-30, record_stride=10)
+        first, first_hist = simulate(P3, 1e-2, cfg, init=init)
+        second, second_hist = simulate(P3, 1e-2, cfg, init=init)
+        assert_same_state(first, second)
+        assert first_hist == second_hist
 
     def test_rejects_foreign_init(self):
         cfg = SolverConfig(dt=1e-2, max_steps=10, tol=1e-6)

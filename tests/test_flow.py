@@ -11,7 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import integrator_order_slope, lyapunov_distance, saddle_global_error
+from conftest import (
+    augmented_lagrangian,
+    dual_field,
+    integrator_order_slope,
+    lagrangian,
+    lyapunov_distance,
+    primal_field,
+    saddle_global_error,
+)
 from pdflow.flow import (
     DivergenceError,
     FlowState,
@@ -19,13 +27,9 @@ from pdflow.flow import (
     ProblemSpec,
     SolverConfig,
     _feasibility_gate,
-    augmented_lagrangian,
-    dual_field,
     euler_step,
     heun_step,
     kkt_residual,
-    lagrangian,
-    primal_field,
     rk4_step,
     solve,
 )

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import edge_matrix
 from pdflow.graphs import (
     Graph,
     algebraic_connectivity,
-    edge_matrix,
     parse_graph,
     weighted_laplacian,
 )

@@ -107,7 +107,7 @@ class TestSmoothedMaxEig:
             c = float(rng.uniform(-10, 10))
             eps = 0.1
             assert abs(smoothed_max_eig(X + c * np.eye(6), eps) - smoothed_max_eig(X, eps) - c) <= 1e-10
-            dG = smoothed_max_eig_grad(X + c * np.eye(6), eps) - smoothed_max_eig_grad(X, eps)
+            dG = smoothed_max_eig_grad(X + c * np.eye(6), eps)[1] - smoothed_max_eig_grad(X, eps)[1]
             assert np.abs(dG).max() <= 1e-9
 
     def test_convexity_spot_check(self):
@@ -133,11 +133,11 @@ class TestSmoothedMaxEig:
 
 class TestSmoothedMaxEigGrad:
     def test_zero_matrix_uniform(self):
-        got = smoothed_max_eig_grad(np.zeros((5, 5)), 0.7)
+        _, got = smoothed_max_eig_grad(np.zeros((5, 5)), 0.7)
         assert np.abs(got - np.eye(5) / 5.0).max() <= 1e-12
 
     def test_underflow_flushes_cleanly(self):
-        got = smoothed_max_eig_grad(np.diag([10.0, 0.0]), 1e-3)
+        _, got = smoothed_max_eig_grad(np.diag([10.0, 0.0]), 1e-3)
         assert np.abs(got - np.diag([1.0, 0.0])).max() <= 1e-12
 
     def test_structure_on_random_matrices(self):
@@ -146,7 +146,7 @@ class TestSmoothedMaxEigGrad:
             n = rng.integers(2, 9)
             X = random_symmetric(rng, n)
             eps = float(rng.choice([1.0, 0.1, 0.01]))
-            G = smoothed_max_eig_grad(X, eps)
+            _, G = smoothed_max_eig_grad(X, eps)
             assert np.array_equal(G, G.T)
             assert abs(np.trace(G) - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(G)[0] >= -1e-10
@@ -159,7 +159,7 @@ class TestSmoothedMaxEigGrad:
             X = random_symmetric(rng, n)
             D = random_symmetric(rng, n, scale=1.0)
             eps = float(rng.uniform(0.2, 1.0))
-            G = smoothed_max_eig_grad(X, eps)
+            _, G = smoothed_max_eig_grad(X, eps)
             analytic = float(np.trace(G @ D))
             fd = (smoothed_max_eig(X + h * D, eps) - smoothed_max_eig(X - h * D, eps)) / (2 * h)
             assert abs(analytic - fd) <= 1e-5 * (1.0 + abs(analytic))
@@ -175,7 +175,7 @@ class TestSmoothedMaxEigGrad:
         w = w / w.sum()
         expected = sum(w[i] * np.outer(U[:, i], U[:, i]) for i in range(5))
         flipped = sum(w[i] * np.outer(-U[:, i], -U[:, i]) for i in range(5))
-        G = smoothed_max_eig_grad(X, eps)
+        _, G = smoothed_max_eig_grad(X, eps)
         assert np.abs(G - expected).max() <= 1e-12
         assert np.abs(G - flipped).max() <= 1e-12
 
@@ -185,7 +185,7 @@ class TestSmoothedMaxEigGrad:
         rng = np.random.default_rng(29)
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         X = Q @ np.diag([5.0, 5.0, -20.0, -21.0, -22.0]) @ Q.T
-        G = smoothed_max_eig_grad(X, 0.05)
+        _, G = smoothed_max_eig_grad(X, 0.05)
         P_top = Q[:, :2] @ Q[:, :2].T
         assert np.abs(G - P_top / 2.0).max() <= 1e-8
 
@@ -195,11 +195,11 @@ class TestStacks:
         # a stack is one batched eigh; each slice equals the single-matrix call
         rng = np.random.default_rng(30)
         X = np.stack([random_symmetric(rng, 4) for _ in range(5)])
-        values, G = smoothed_max_eig_grad(X, 0.3, return_value=True)
+        values, G = smoothed_max_eig_grad(X, 0.3)
         assert G.shape == (5, 4, 4) and values.shape == (5,)
         assert np.array_equal(smoothed_max_eig(X, 0.3), values)
         for i in range(5):
-            assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.3))
+            assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.3)[1])
             assert values[i] == smoothed_max_eig(X[i], 0.3)
 
     def test_symmetrize_stack(self):

@@ -144,11 +144,11 @@ class ProblemSpec:
         return self.A.shape[0]
 
     @cached_property
-    def _field(self):
-        """``field(s, out)`` writes the unprojected field at ``s = [x; v]``,
-        ``K s + g0`` with ``K = [[-Q - rho A^T A, -A^T], [A, 0]]`` and
-        ``g0 = [rho A^T b - c; -b]``, into ``out``.  Without ``(Q, c)`` the
-        objective's ``-grad f(x)`` is added to the x-slice instead.
+    def _kernel(self):
+        """``(K, g0)``: the unprojected field at ``s = [x; v]`` is ``K s + g0``
+        with ``K = [[-Q - rho A^T A, -A^T], [A, 0]]`` and
+        ``g0 = [rho A^T b - c; -b]``.  Without ``(Q, c)`` the objective's
+        ``-grad f(x)`` belongs to the x-slice as well.
         """
         A, n, m, rho, objective = self.A, self.dim, self.num_constraints, self.rho, self.objective
         K = np.zeros((n + m, n + m))
@@ -162,6 +162,13 @@ class ProblemSpec:
                 xx -= objective.Q
         np.negative(A.T, out=K[:n, n:])
         K[n:, :n] = A
+        return K, g0
+
+    @cached_property
+    def _field(self):
+        """``field(s, out)`` writes the unprojected field at ``s = [x; v]``
+        into ``out``, from :attr:`_kernel`."""
+        (K, g0), n, objective = self._kernel, self.dim, self.objective
 
         def field(s, out):
             K.dot(s, out=out)
@@ -171,6 +178,26 @@ class ProblemSpec:
             return out
 
         return field
+
+    def _euler_map(self, dt: float) -> np.ndarray:
+        """``E = [[I + dt K, dt g0], [A, 0, -b]]``, memoized for the last ``dt``.
+
+        ``E [x; v; 1]`` is the unprojected Euler step ``s + dt (K s + g0)``
+        (top ``n + m`` rows) followed by ``A x - b`` (bottom ``m`` rows).
+        """
+        memo = self.__dict__.get("_euler_memo")
+        if memo is None or memo[0] != dt:
+            (K, g0), k = self._kernel, self.dim + self.num_constraints
+            E = np.empty((k + self.num_constraints, k + 1))
+            np.multiply(K, dt, out=E[:k, :k])
+            diagonal = np.arange(k)
+            E[diagonal, diagonal] += 1.0
+            np.multiply(g0, dt, out=E[:k, k])
+            E[k:, :k] = K[self.dim :]
+            E[k:, k] = g0[self.dim :]
+            memo = (dt, E)
+            self.__dict__["_euler_memo"] = memo  # frozen: as cached_property does
+        return memo[1]
 
 
 @dataclass(frozen=True)
@@ -229,16 +256,44 @@ class SolveResult:
 
 
 def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
-    """``(s, k1, first, advance)``: a step is ``first()``, which fills ``k1``
-    at the state ``s = [x0; v0]``, then ``advance()``, which moves ``s`` in place.
+    """``(s, dual, first, advance)``: a step is ``first()``, which fills
+    ``dual`` with ``A x - b`` at the state ``s = [x0; v0]``, then
+    ``advance()``, which moves ``s`` in place.
 
-    Euler is proximal: ``s += dt * field(s)``, then the x-slice is projected
-    onto the set.  Heun and RK4 project each stage field's x-slice onto the
-    tangent cone at its stage point, and each stage point onto the set.
-    ``k1[n:]`` is ``A x - b`` for all three.
+    Euler is proximal, ``x+ = P_K(x - dt y)``: ``first()`` is one matvec
+    ``u = E [x; v; 1]`` with the augmented map of
+    :meth:`ProblemSpec._euler_map` (memoized per ``dt``), whose top rows are
+    the unprojected step and whose bottom rows are ``dual``; ``advance()``
+    projects the x-slice of ``u`` onto the set and copies it into ``s``.
+    ``(I + dt K) s + dt g0`` rounds differently from ``s + dt (K s + g0)``,
+    so Euler iterates differ from the unfused form in the last bits only;
+    on the presets the stop steps are the same.
+
+    Heun and RK4 project each stage field's x-slice onto the tangent cone
+    at its stage point, and each stage point onto the set; ``dual`` is the
+    first stage's ``k1[n:]``.
     """
-    n, field = problem.dim, problem._field
-    project, tangent = problem.set._project_in_place, problem.set._tangent
+    n, project = problem.dim, problem.set._project_in_place
+    if integrator == "euler":
+        E, k = problem._euler_map(dt), n + problem.num_constraints
+        augmented, u = np.empty(k + 1), np.empty(E.shape[0])
+        s, x, ux, step = augmented[:k], augmented[:n], u[:n], u[:k]
+        s[:n], s[n:], augmented[k] = x0, v0, 1.0
+        first = partial(E.dot, augmented, u)  # out=u, which partial passes slower
+        if problem.objective.c is None:  # the gradient is not in E
+            unfolded, grad = first, problem.objective.gradient
+
+            def first():
+                unfolded()
+                np.subtract(ux, dt * grad(x), out=ux)
+
+        def advance():
+            project(ux)
+            s[:] = step
+
+        return s, u[k:], first, advance
+
+    field, tangent = problem._field, problem.set._tangent
     s = np.concatenate([x0, v0])
     u, k1, k2, k3, k4 = np.empty((5, s.size))
 
@@ -262,8 +317,7 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
         stage(move(k3, dt, u), k4)
         move(k1 + 2.0 * k2 + 2.0 * k3 + k4, dt / 6.0, s)
 
-    first = partial(field if integrator == "euler" else stage, s, k1)
-    return s, k1, first, {"euler": partial(move, k1, dt, s), "heun": heun, "rk4": rk4}[integrator]
+    return s, k1[n:], partial(stage, s, k1), {"heun": heun, "rk4": rk4}[integrator]
 
 
 def _step(problem: ProblemSpec, state: FlowState, dt: float, integrator: str) -> FlowState:
@@ -306,14 +360,17 @@ def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
 
 
 def _feasibility_gate(problem: ProblemSpec, tol: float):
-    """``(gate0, gate1)``: the field's ``||k1[n:]||`` is at most ``gate0 +
-    gate1 ||s||`` wherever ``||A.dot(x) - b||`` (:func:`kkt_residual`'s
-    arithmetic) is within ``tol``.
+    """``(gate0, gate1)``: the step's ``||dual||`` (see :func:`_integrator`)
+    is at most ``gate0 + gate1 ||s||`` wherever ``||A.dot(x) - b||``
+    (:func:`kkt_residual`'s arithmetic) is within ``tol``.
 
-    The two sum in different orders; each lies within gamma_k (|A| |x| + |b|)
-    of ``A x - b`` (k = n + m + 1, gamma_k = k u / (1 - k u)), so their norms
-    differ by at most 2 gamma_k (||A||_F ||s|| + ||b||).  ``rel`` covers the
-    rounding of the norms themselves.
+    ``dual`` is ``[A, 0] s - b`` for Heun and RK4 (the field's v-slice) and
+    the row ``[A, 0, -b] [x; v; 1]`` of Euler's augmented map: both are sums
+    of k = n + m + 1 terms.  They sum in another order than ``A.dot(x) - b``;
+    each lies within gamma_k (|A| |x| + |b|) of ``A x - b`` (gamma_k =
+    k u / (1 - k u)), so their norms differ by at most
+    2 gamma_k (||A||_F ||s|| + ||b||).  ``rel`` covers the rounding of the
+    norms themselves.
     """
     A, b, n, m = problem.A, problem.b, problem.dim, problem.num_constraints
     ku, lu = (n + m + 1) * 2.0**-53, (n + 2) * (m + 2) * 2.0**-53
@@ -330,19 +387,20 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     :class:`DivergenceError` if an iterate stops being finite.
 
     Bit for bit, this iterates and stops like the configured stepper with
-    :func:`kkt_residual`.  One field evaluation per step feeds both the step
-    and the stop test: the residual is evaluated in full, with
+    :func:`kkt_residual`.  One matrix-vector product per step feeds both
+    the step and the stop test: the residual is evaluated in full, with
     ``kkt_residual``'s arithmetic, only on recorded steps or once the
-    field's ``A x - b`` admits feasibility within ``tol`` (before, the sum
-    exceeds it).
+    step's own ``A x - b`` admits feasibility within ``tol`` (before, the
+    sum exceeds it).  The :class:`DivergenceError` names the step, the first
+    non-finite coordinate and the last residual computed with its step.
     """
     n, m = problem.dim, problem.num_constraints
     v0 = np.asarray(init.v, dtype=float)
     if v0.shape != (m,):
         raise ValueError(f"dual init must have {m} entries, got shape {v0.shape}")
     x0 = problem.set.project(init.x)
-    s, k1, first, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
-    x, v, dual = s[:n], s[n:], k1[n:]
+    s, dual, first, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
+    x, v = s[:n], s[n:]
     A, AT, b = problem.A, problem.A.T, problem.b
     grad, tangent = problem.objective.gradient, problem.set._tangent
     dt, tol, stride, max_steps = config.dt, config.tol, config.record_stride, config.max_steps
@@ -364,6 +422,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
                 r = A.dot(x) - b
                 stationarity = tangent(x, -grad(x) - AT.dot(v))
                 residual = math.sqrt(stationarity.dot(stationarity)) + math.sqrt(r.dot(r))
+                residual_step = steps
                 if due:
                     record(t, x, v, residual)
                     last_recorded = steps
@@ -377,7 +436,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
                 i = int(np.argmin(np.isfinite(s)))
                 at = f"x[{i}]" if i < n else f"v[{i - n}]"
                 raise DivergenceError(
-                    f"non-finite iterate at step {steps}; {at} = {s[i]}; try a smaller dt than {dt:g}"
+                    f"non-finite iterate at step {steps}; {at} = {s[i]}; last residual "
+                    f"{residual:.1e} at step {residual_step}; try a smaller dt than {dt:g}"
                 )
             gate = gate0 + gate1 * math.sqrt(ss)
     if last_recorded != steps:

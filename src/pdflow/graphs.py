@@ -117,7 +117,7 @@ def algebraic_connectivity(laplacian) -> float:
         raise ValueError("matrix is not symmetric")
     if float(np.abs(L.sum(axis=1)).max()) > 1e-9 * scale:
         raise ValueError("matrix rows do not sum to zero")
-    eigs = np.linalg.eigvalsh((L + L.T) / 2.0)
+    eigs = np.linalg.eigvalsh(L / 2.0 + L.T / 2.0)  # halved first: no overflow near the float limit
     if eigs[0] < -1e-9 * scale:
         raise ValueError("matrix is not positive semidefinite")
     return float(eigs[1])

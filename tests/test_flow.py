@@ -7,6 +7,7 @@ unconstrained linear saddle system.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from pdflow.flow import (
     ProblemSpec,
     SolverConfig,
     _feasibility_gate,
+    _integrator,
     euler_step,
     heun_step,
     kkt_residual,
@@ -40,7 +42,7 @@ from pdflow.presets import (
     example2_problem,
     lp_config,
 )
-from pdflow.sets import Box, FreeSpace
+from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 STEPPERS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
 
@@ -296,6 +298,48 @@ class TestSteps:
             assert np.array_equal(nxt.x, s.x)
             assert np.array_equal(nxt.v, s.v)
 
+    def test_euler_matches_proximal_reference(self):
+        # x+ = P_K(x - dt grad_x L_rho(x, v)) and v+ = v + dt (A x - b), from
+        # the problem data, on every set type and objective kind; dt
+        # alternates on each problem, so a map kept for another dt would show
+        rng = np.random.default_rng(47)
+        n, m = 4, 2
+        Q = rng.normal(size=(n, n))
+        objectives = {
+            "linear": Objective.linear(rng.normal(size=n)),
+            "quadratic": Objective.quadratic(Q @ Q.T, rng.normal(size=n)),
+            "callable": softplus_problem().objective,  # gradient not in the kernel
+        }
+        sets = [
+            FreeSpace(n),
+            NonnegativeOrthant(n),
+            Box(lower=[-1.0, -0.5, 0.0, -np.inf], upper=[1.0, 0.5, np.inf, 2.0]),
+            Ball(center=rng.normal(size=n), radius=1.5),
+            Product(
+                [Box(lower=[-1.0], upper=[1.0]), Ball(center=np.zeros(2), radius=1.0), NonnegativeOrthant(1)]
+            ),
+        ]
+        for name, objective in objectives.items():
+            for set_ in sets:
+                p = ProblemSpec(
+                    objective=objective,
+                    A=rng.normal(size=(m, n)),
+                    b=rng.normal(size=m),
+                    set=set_,
+                    rho=1.5,
+                )
+                for i in range(20):
+                    dt = (1e-2, 1e-3)[i % 2]
+                    x, v = rng.normal(scale=3.0, size=n), rng.normal(scale=3.0, size=m)
+                    r = p.A @ x - p.b
+                    y = p.objective.gradient(x) + p.A.T @ v + p.rho * p.A.T @ r
+                    nxt = euler_step(p, FlowState(x=x, v=v), dt)
+                    scale = 1e-12 * (1.0 + np.abs(np.concatenate([x, v, dt * y])).max())
+                    want_x, want_v = set_.project(x - dt * y), v + dt * r
+                    case = f"{name} objective on {set_!r}, dt {dt:g}"
+                    np.testing.assert_allclose(nxt.x, want_x, rtol=1e-12, atol=scale, err_msg=case)
+                    np.testing.assert_allclose(nxt.v, want_v, rtol=1e-12, atol=scale, err_msg=case)
+
     def test_euler_keeps_iterates_feasible(self):
         p = example2_problem()
         rng = np.random.default_rng(42)
@@ -436,36 +480,43 @@ class TestSolve:
 
     def test_divergence_error_names_step(self):
         # every integrator: the error names the first step whose iterate the
-        # public stepper makes non-finite, and no earlier step met tol
+        # public stepper makes non-finite, and no earlier step met tol; the
+        # last residual it names is the stepper's kkt_residual at an earlier step
         p = quadratic_free_problem(q=1.0, a=1.0)
         init = FlowState(x=np.array([1.0]), v=np.array([0.0]))
         for integrator, stepper in STEPPERS.items():
             cfg = SolverConfig(dt=1e6, max_steps=10_000, tol=1e-12, integrator=integrator)
             with pytest.raises(DivergenceError, match="step") as err:
                 solve(p, cfg, init)
-            s, steps = init, 0
+            s, residuals = init, []
             with np.errstate(over="ignore", invalid="ignore"):
                 while np.isfinite(s.x).all() and np.isfinite(s.v).all():
-                    assert not kkt_residual(p, s) <= cfg.tol
+                    residuals.append(kkt_residual(p, s))
+                    assert not residuals[-1] <= cfg.tol
                     s = stepper(p, s, cfg.dt)
-                    steps += 1
+            steps = len(residuals)
             assert f"non-finite iterate at step {steps};" in str(err.value), integrator
+            last = re.search(r"; last residual (\S+) at step (\d+);", str(err.value))
+            assert last and int(last[2]) < steps, integrator
+            assert last[1] == f"{residuals[int(last[2])]:.1e}", integrator
 
     @pytest.mark.parametrize("integrator", list(STEPPERS))
     def test_stops_at_first_step_within_tol_on_example2(self, integrator):
-        # the stop test reads A x - b off the field, whose 8x8 matvec sums in
+        # the stop test reads A x - b off the step's first matvec (Euler's
+        # 11x9 augmented map, the 8x8 field for Heun and RK4), which sums in
         # another order than kkt_residual's 3x5 one; the gate's rounding
         # slack must keep the stop on the stepper's step
-        p, n, tol = example2_problem(), 5, 1e-3
+        p, tol = example2_problem(), 1e-3
         cfg = SolverConfig(
             dt=1e-2, max_steps=10**6, tol=tol, record_stride=10**6, integrator=integrator
         )
         init = FlowState(x=np.zeros(5), v=np.zeros(3))
         res = solve(p, cfg, init)
-        s, steps, differing, field = init, 0, 0, np.empty(8)
+        s, steps, differing = init, 0, 0
         while kkt_residual(p, s) > tol:
-            p._field(np.concatenate([s.x, s.v]), field)
-            differing += not np.array_equal(field[n:], p.A.dot(s.x) - p.b)
+            _, dual, first, _ = _integrator(p, integrator, cfg.dt, s.x, s.v)
+            first()
+            differing += not np.array_equal(dual, p.A.dot(s.x) - p.b)
             s = STEPPERS[integrator](p, s, cfg.dt)
             steps += 1
         assert differing > 0
@@ -583,11 +634,12 @@ class TestFeasibilityGate:
                 s = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=field.size)
                 r = p.A.dot(s[:n]) - p.b
                 tol = math.sqrt(r.dot(r))
-                p._field(s, field)
-                estimate = math.sqrt(field[n:].dot(field[n:]))
                 gate0, gate1 = _feasibility_gate(p, tol)
-                assert estimate <= gate0 + gate1 * math.sqrt(s.dot(s))
-                above += estimate > tol
+                euler = p._euler_map(1e-2).dot(np.append(s, 1.0))  # Heun/RK4 read the field
+                for dual in (p._field(s, field)[n:], euler[field.size :]):
+                    estimate = math.sqrt(dual.dot(dual))
+                    assert estimate <= gate0 + gate1 * math.sqrt(s.dot(s))
+                    above += estimate > tol
         assert above > 0  # states only the rounding slack lets through
 
 

@@ -1,5 +1,7 @@
 """Graph parsing, edge matrices, weighted Laplacians and lambda2."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,15 @@ class TestAlgebraicConnectivity:
         g = Graph(3, [(1, 2), (2, 3), (1, 3)])
         L = weighted_laplacian(g, [1.0, 1.0, 1.0])
         assert abs(algebraic_connectivity(L) - 3.0) <= 1e-12
+
+    def test_weights_near_float_limit(self):
+        # lambda2 = w and lambda_max = 3w are finite, but the middle diagonal
+        # entry of L + L^T is 4w, which overflows if summed before halving
+        w = 5e307
+        L = weighted_laplacian(P3, [w, w])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert algebraic_connectivity(L) == pytest.approx(w, rel=1e-12)
 
     def test_rejects_non_laplacian(self):
         with pytest.raises(ValueError):

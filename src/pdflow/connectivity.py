@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -99,53 +100,71 @@ def _require_finite(*per_node) -> None:
         raise DivergenceError(f"node {int(np.argmin(finite)) + 1} produced non-finite values")
 
 
-def node_matrices(network: NetworkState) -> np.ndarray:
+def _tables(graph: Graph) -> SimpleNamespace:
+    """The graph-only data a round needs, and its X buffer; built once per run."""
+    n, B = graph.n, graph.incidence
+    node, edge = np.nonzero(B)
+    a, b = graph.heads[edge], graph.tails[edge]
+    return SimpleNamespace(
+        mask=B != 0.0,  # the contributions a node owns
+        w_at=node * graph.num_edges + edge,  # flat W index of each owned w_ik
+        # flat X indices of its entries (i, a_k, b_k) and (i, b_k, a_k)
+        off=np.stack([(node * n + a) * n + b, (node * n + b) * n + a]),
+        abs_bt=np.abs(B.T),  # row i of W @ |B|^T is the diagonal of sum_k w_ik E_k
+        dz_coef=0.5 * np.eye(n) - 1.0,  # dZ = dz_coef * (S + S^T)
+        triu=np.flatnonzero(np.triu(np.ones((n, n)))),  # flat upper-triangle indices
+        X=np.empty((n, n, n)),  # overwritten by every node_matrices call
+    )
+
+
+def node_matrices(network: NetworkState, tables=None) -> np.ndarray:
     """The stack of matrices X_i whose largest eigenvalues the nodes drive down."""
-    n, B, L = network.graph.n, network.graph.incidence, network.graph.laplacian
-    X = np.tensordot(L, network.Z, axes=1)
-    # sum_k w_ik E_k = B diag(W_i) B^T, as one matmul over the whole stack
-    X -= ((B * network.W[:, None, :]).reshape(n * n, -1) @ B.T).reshape(n, n, n)
+    n, t = network.graph.n, tables or _tables(network.graph)
+    X = t.X
+    np.matmul(network.graph.laplacian, network.Z.reshape(n, n * n), out=X.reshape(n, n * n))
+    # sum_k w_ik E_k: -w_ik at (a_k, b_k) and (b_k, a_k), sum_k w_ik |B|_pk at (p, p)
+    X.reshape(-1)[t.off] += network.W.reshape(-1)[t.w_at]
+    X.reshape(n, n * n)[:, :: n + 1] -= network.W @ t.abs_bt
     X -= network.mu[:, None, None]
     return X
 
 
-def _broadcast(network: NetworkState):
+def _broadcast(network: NetworkState, tables=None):
     """Phase 1 of a round: every node's smoothed value and its gradient G_i."""
-    X = node_matrices(network)
-    _require_finite(X)
-    return smoothed_max_eig_grad(X, network.eps)
+    X = node_matrices(network, tables)
+    try:
+        return smoothed_max_eig_grad(X, network.eps)
+    except ValueError:  # symmetrize found a non-finite entry: name its node
+        _require_finite(X)
+        raise
 
 
-def _fields(network: NetworkState, G: np.ndarray) -> Fields:
+def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
     """Phase 2: each node's fields from its own and its neighbors' G."""
-    graph = network.graph
-    a, b = graph.heads, graph.tails
+    graph, t = network.graph, tables or _tables(network.graph)
+    n, a, b = graph.n, graph.heads, graph.tails
     g = network.budget_violation()
+    flat = G.reshape(n, n * n)
     pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
-    dW = np.where(graph.incidence != 0.0, pairing - network.v[:, None] - g[:, None], 0.0)
-    S = np.tensordot(graph.laplacian, G, axes=1)
-    # keeps every Z_i exactly symmetric whatever order BLAS sums in; a no-op
-    # when S is already symmetric
-    S = (S + np.swapaxes(S, 1, 2)) / 2.0
-    # trace(S B_pq) for the symmetric basis matrix B_pq: 2 S_pq off the
-    # diagonal, S_pp on it
-    dZ = -2.0 * S
-    diag = np.arange(network.graph.n)
-    dZ[:, diag, diag] = -S[:, diag, diag]
-    return Fields(dmu=G.reshape(len(G), -1).sum(axis=1), dW=dW, dZ=dZ, dv=g)
+    dW = np.where(t.mask, pairing - network.v[:, None] - g[:, None], 0.0)
+    S = (graph.laplacian @ flat).reshape(n, n, n)
+    # trace(S B_pq) for the symmetric basis matrix B_pq, from S + S^T, which
+    # keeps every Z_i exactly symmetric whatever order BLAS sums in
+    dZ = S + np.swapaxes(S, 1, 2)
+    dZ *= t.dz_coef
+    return Fields(dmu=flat.sum(axis=1), dW=dW, dZ=dZ, dv=g)
 
 
-def _residual_from_messages(network: NetworkState, fields: Fields, triu: tuple) -> float:
+def _residual_from_messages(network: NetworkState, fields: Fields, triu: np.ndarray) -> float:
     """Sum of absolute budget violations plus the Euclidean norm of all
     projected primal fields (mu, w and the upper-triangle z coefficients of
     every node); zero exactly at equilibria of the dynamics.  ``triu`` holds
-    the upper-triangle indices of an N x N matrix, built once per run."""
-    rows, cols = triu
+    the flat upper-triangle indices of an N x N matrix, built once per run."""
     # tangent cone of the orthant: a contribution on the bound may not decrease
     dW = np.where(network.W <= _ACTIVITY_TOL, np.maximum(fields.dW, 0.0), fields.dW)
-    dz = fields.dZ[:, rows, cols]
-    sq = fields.dmu @ fields.dmu + np.sum(dW * dW) + np.sum(dz * dz)
-    return float(np.abs(fields.dv).sum() + np.sqrt(sq))
+    dz = fields.dZ.reshape(len(fields.dZ), -1)[:, triu]
+    sq = fields.dmu @ fields.dmu + (dW * dW).sum() + (dz * dz).sum()
+    return float(np.abs(fields.dv).sum() + math.sqrt(sq))
 
 
 def assemble_weights(network: NetworkState) -> np.ndarray:
@@ -204,43 +223,50 @@ def simulate(
     config apply.  ``init`` supplies the starting arrays (a warm start) and
     is left unchanged; the rounds run at ``eps``.  The state is validated
     once, at the start, and its copy of the arrays is advanced in place.
+    Raises :class:`DivergenceError` naming the round and the node once the
+    state, or a node's X_i, stops being finite.
     """
     if init is not None and init.graph is not graph and init.graph.edges != graph.edges:
         raise ValueError("init was built for a different graph")
     network = initial_network(graph, eps) if init is None else replace(init, eps=eps)
     # a fresh copy, in the order of the Fields that move it
-    arrays = (network.mu, network.W, network.Z, network.v)
+    arrays = mu, W, Z, v = network.mu, network.W, network.Z, network.v
     for array in arrays:
         array.setflags(write=True)
 
     history: list[HistoryPoint] = []
-    rounds, triu = 0, np.triu_indices(graph.n)
-    while True:
-        values, G = _broadcast(network)
-        fields = _fields(network, G)
-        residual = _residual_from_messages(network, fields, triu)
-        done = residual <= config.tol or rounds >= config.max_steps
-        if done or rounds % config.record_stride == 0:
-            history.append(
-                HistoryPoint(
-                    round=rounds,
-                    objective=float(values.sum()),
-                    lambda2=assembled_connectivity(network),
-                    residual=residual,
-                    contributions=contributions_vector(network),
-                )
-            )
-        if done:
-            break
+    rounds, tables = 0, _tables(graph)
+    # overflow is caught by the finiteness checks; silence its warnings
+    try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for array, field in zip(arrays, fields):
-                array += config.dt * field
-            np.maximum(network.W, 0.0, out=network.W)
-        try:
-            _require_finite(*arrays)
-        except DivergenceError as err:
-            raise DivergenceError(f"round {rounds + 1}: {err}") from err
-        rounds += 1
+            while True:
+                values, G = _broadcast(network, tables)
+                fields = _fields(network, G, tables)
+                residual = _residual_from_messages(network, fields, tables.triu)
+                done = residual <= config.tol or rounds >= config.max_steps
+                if done or rounds % config.record_stride == 0:
+                    history.append(
+                        HistoryPoint(
+                            round=rounds,
+                            objective=float(values.sum()),
+                            lambda2=assembled_connectivity(network),
+                            residual=residual,
+                            contributions=contributions_vector(network),
+                        )
+                    )
+                if done:
+                    break
+                for array, field in zip(arrays, fields):
+                    field *= config.dt
+                    array += field
+                np.maximum(W, 0.0, out=W)
+                rounds += 1
+                # a non-finite total (non-finite entry or overflow) runs the exact check
+                if not math.isfinite(mu.sum() + W.sum() + Z.sum() + v.sum()):
+                    _require_finite(*arrays)
+    except DivergenceError as err:
+        # the round after which the state, or the X_i built from it, stopped being finite
+        raise DivergenceError(f"round {rounds}: {err}") from err
     for array in arrays:
         array.setflags(write=False)
     return network, history

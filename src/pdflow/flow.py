@@ -392,7 +392,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     ``kkt_residual``'s arithmetic, only on recorded steps or once the
     step's own ``A x - b`` admits feasibility within ``tol`` (before, the
     sum exceeds it).  The :class:`DivergenceError` names the step, the first
-    non-finite coordinate and the last residual computed with its step.
+    non-finite coordinate and the last finite residual, if any, with its step.
     """
     n, m = problem.dim, problem.num_constraints
     v0 = np.asarray(init.v, dtype=float)
@@ -409,7 +409,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
 
     trajectory: list[TrajectoryPoint] = []
     record = _make_recorder(problem, trajectory)
-    t, steps, last_recorded = float(init.t), 0, -1
+    t, steps, last_recorded, finite = float(init.t), 0, -1, None
     # divergence is detected by the explicit finiteness check; silence the
     # transient overflow warnings that precede it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -422,7 +422,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
                 r = A.dot(x) - b
                 stationarity = tangent(x, -grad(x) - AT.dot(v))
                 residual = math.sqrt(stationarity.dot(stationarity)) + math.sqrt(r.dot(r))
-                residual_step = steps
+                if math.isfinite(residual):
+                    finite = residual, steps
                 if due:
                     record(t, x, v, residual)
                     last_recorded = steps
@@ -435,9 +436,12 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
             if not math.isfinite(ss) and not np.isfinite(s).all():
                 i = int(np.argmin(np.isfinite(s)))
                 at = f"x[{i}]" if i < n else f"v[{i - n}]"
+                last = "no finite residual" if finite is None else (
+                    f"last finite residual {finite[0]:.1e} at step {finite[1]}"
+                )
                 raise DivergenceError(
-                    f"non-finite iterate at step {steps}; {at} = {s[i]}; last residual "
-                    f"{residual:.1e} at step {residual_step}; try a smaller dt than {dt:g}"
+                    f"non-finite iterate at step {steps}; {at} = {s[i]}; {last}; "
+                    f"try a smaller dt than {dt:g}"
                 )
             gate = gate0 + gate1 * math.sqrt(ss)
     if last_recorded != steps:

@@ -38,10 +38,13 @@ def _raw_eigh(matrix):
 
 
 def _log_sum_exp(eigenvalues: np.ndarray, eps: float):
-    top = eigenvalues[..., -1]
-    shifted = (eigenvalues - top[..., None]) / eps
-    value = top + eps * np.log(np.exp(shifted).sum(axis=-1))
-    return float(value) if value.ndim == 0 else value
+    """The surrogate's value and the softmax weights, from one ``exp``."""
+    top = eigenvalues[..., -1:]
+    weights = np.exp((eigenvalues - top) / eps)
+    total = weights.sum(axis=-1, keepdims=True)
+    value = (top + eps * np.log(total))[..., 0]
+    weights /= total
+    return (float(value) if value.ndim == 0 else value), weights
 
 
 def smoothed_max_eig(matrix, eps: float):
@@ -61,7 +64,7 @@ def smoothed_max_eig(matrix, eps: float):
     if not eps > 0:
         raise ValueError("eps must be positive")
     lam, _ = _raw_eigh(matrix)
-    return _log_sum_exp(lam, eps)
+    return _log_sum_exp(lam, eps)[0]
 
 
 def smoothed_max_eig_grad(matrix, eps: float):
@@ -76,8 +79,7 @@ def smoothed_max_eig_grad(matrix, eps: float):
     if not eps > 0:
         raise ValueError("eps must be positive")
     lam, U = _raw_eigh(matrix)
-    weights = np.exp((lam - lam[..., -1:]) / eps)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    value, weights = _log_sum_exp(lam, eps)
     grad = (U * weights[..., None, :]) @ np.swapaxes(U, -1, -2)
     grad = (grad + np.swapaxes(grad, -1, -2)) / 2.0
-    return _log_sum_exp(lam, eps), grad
+    return value, grad

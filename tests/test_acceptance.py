@@ -148,10 +148,13 @@ def test_criterion_4_example4_properties(ex4_run):
     for a, b in zip(objectives[start:], objectives[start + 1 :]):
         assert b <= a + 1e-12 * (1.0 + abs(a))
     assert final.lambda2 >= uniform_lambda2 - 1e-6
+    # 17,316 rounds with one OpenBLAS build; another BLAS kernel sums in
+    # another order, so the round is pinned within 1%
+    assert abs(final.round - 17_316) <= 0.01 * 17_316
     _report(
         4,
-        f"example 4 residual {final.residual:.2e}, lambda2 {final.lambda2:.4f} "
-        f">= uniform {uniform_lambda2:.4f}, objective monotone",
+        f"example 4 stops at round {final.round}, residual {final.residual:.2e}, "
+        f"lambda2 {final.lambda2:.4f} >= uniform {uniform_lambda2:.4f}, objective monotone",
     )
 
 

@@ -3,6 +3,7 @@ against a per-node reference and finite differences, locality, synchronous
 rounds and small end-to-end runs."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     with_node,
     worst_field_fd_error,
 )
+from pdflow import connectivity
 from pdflow.connectivity import (
     DivergenceError,
     NetworkState,
@@ -39,6 +41,7 @@ from pdflow.presets import EXAMPLE4_DT, EXAMPLE4_EPS, example4_graph
 from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad
 
 P3 = Graph(3, [(1, 2), (2, 3)])
+P4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
 K2 = Graph(2, [(1, 2)])
 K3 = Graph(3, [(1, 2), (2, 3), (1, 3)])
 
@@ -266,6 +269,49 @@ class TestRound:
         with pytest.raises(DivergenceError, match="node 1"):
             one_round(net, 10.0)
 
+    def test_divergence_names_round_and_node(self):
+        # node 3's dual update overflows in round 2, after round 1's residual
+        # overflowed its sum of squares; no RuntimeWarning leaks on the way
+        net = with_node(zero_network(P4, eps=1e-3), 3, W=[0.0, 1e308, 0.0], v=-1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, history = simulate(P4, 1e-3, SolverConfig(dt=1.5, max_steps=1, tol=1e-30), init=net)
+            assert history[-1].residual == np.inf
+            with pytest.raises(DivergenceError, match="^round 2: node 3 produced non-finite"):
+                simulate(P4, 1e-3, SolverConfig(dt=1.5, max_steps=10, tol=1e-30), init=net)
+
+    def test_non_finite_node_matrix_names_round_and_node(self):
+        # the state after round 1 is finite, but node 3's X_3 overflows: the
+        # eigensolver's finiteness check fails, not the state's; a non-finite
+        # start fails at round 0
+        net = with_node(zero_network(P4, eps=1e-3), 3, W=[0.0, 1e308, 0.0], v=-1.7e308)
+        with pytest.raises(DivergenceError, match="^round 1: node 3 produced non-finite") as err:
+            simulate(P4, 1e-3, SolverConfig(dt=1.0, max_steps=10, tol=1e-30), init=net)
+        assert isinstance(err.value.__cause__.__context__, ValueError)
+        with pytest.raises(DivergenceError, match="^round 0: node 2 produced non-finite"):
+            one_round(with_node(zero_network(P3), 2, mu=np.nan), 0.1)
+
+    def test_overflowing_sum_of_finite_state_keeps_running(self, monkeypatch):
+        # every entry stays finite, but the v entries sum past the largest
+        # float: each round's cheap sum test fails and the exact check passes
+        exact, exact_checks = connectivity._require_finite, []
+
+        def counted(*arrays):
+            exact_checks.append(len(arrays))
+            exact(*arrays)
+
+        monkeypatch.setattr(connectivity, "_require_finite", counted)
+        cfg = SolverConfig(dt=1e-2, max_steps=5, tol=1e-30)
+        simulate(P3, 0.1, cfg, init=zero_network(P3, eps=0.1))
+        assert exact_checks == []  # a finite sum skips the exact check
+        net = dataclasses.replace(zero_network(P3, eps=0.1), v=np.full(3, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            after, history = simulate(P3, 0.1, cfg, init=net)
+        assert history[-1].round == 5 and exact_checks == [4] * 5
+        for name in ("mu", "W", "Z", "v"):
+            assert np.isfinite(getattr(after, name)).all(), name
+
 
 class TestAssembly:
     def test_zero_contributions(self):
@@ -336,6 +382,26 @@ class TestSimulate:
         assert warm[0].objective == cold[0].objective
         assert warm_net.eps == 0.5
         assert_same_state(warm_net, cold_net)
+
+    def test_rounds_match_per_node_reference_loop(self):
+        # simulate itself against a plain loop of Euler/prox steps built from
+        # the per-node reference fields, from arbitrary starts
+        rng = np.random.default_rng(66)
+        dt, rounds = 1e-2, 50
+        for _ in range(4):
+            graph = random_connected_graph(rng, min_nodes=2, max_nodes=5)
+            eps = float(rng.uniform(0.1, 1.0))
+            net = random_network(graph, eps, rng)
+            cfg = SolverConfig(dt=dt, max_steps=rounds, tol=1e-30)
+            after, _ = simulate(graph, eps, cfg, init=net)
+            for _ in range(rounds):
+                dmu, dW, dZ, dv = reference_fields(net)
+                net = NetworkState(
+                    graph, net.mu + dt * dmu, np.maximum(0.0, net.W + dt * dW),
+                    net.Z + dt * dZ, net.v + dt * dv, eps,
+                )
+            for name in ("mu", "W", "Z", "v"):
+                assert np.abs(getattr(after, name) - getattr(net, name)).max() <= 1e-12, name
 
     def test_init_left_unchanged(self):
         # simulate advances its own copy: init keeps its values and stays

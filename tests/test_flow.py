@@ -481,7 +481,8 @@ class TestSolve:
     def test_divergence_error_names_step(self):
         # every integrator: the error names the first step whose iterate the
         # public stepper makes non-finite, and no earlier step met tol; the
-        # last residual it names is the stepper's kkt_residual at an earlier step
+        # last residual it names is finite and is the stepper's kkt_residual at
+        # an earlier step
         p = quadratic_free_problem(q=1.0, a=1.0)
         init = FlowState(x=np.array([1.0]), v=np.array([0.0]))
         for integrator, stepper in STEPPERS.items():
@@ -496,8 +497,9 @@ class TestSolve:
                     s = stepper(p, s, cfg.dt)
             steps = len(residuals)
             assert f"non-finite iterate at step {steps};" in str(err.value), integrator
-            last = re.search(r"; last residual (\S+) at step (\d+);", str(err.value))
+            last = re.search(r"; last finite residual (\S+) at step (\d+);", str(err.value))
             assert last and int(last[2]) < steps, integrator
+            assert np.isfinite(residuals[int(last[2])]), integrator
             assert last[1] == f"{residuals[int(last[2])]:.1e}", integrator
 
     @pytest.mark.parametrize("integrator", list(STEPPERS))

@@ -40,7 +40,6 @@ from .sets import (
     SimpleSet,
 )
 from .spectral import (
-    smoothed_max_eig,
     smoothed_max_eig_grad,
     symmetrize,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "NonnegativeOrthant",
     "Product",
     "SimpleSet",
-    "smoothed_max_eig",
     "smoothed_max_eig_grad",
     "symmetrize",
     "NetworkState",

@@ -41,8 +41,9 @@ class NetworkState:
 
     Row i (0-based) of each array belongs to node i + 1; column k of ``W``
     to edge label k + 1.  Contributions stay nonnegative under the
-    projected update.  The constructor copies the arrays; :func:`simulate`
-    advances such a copy in place and returns it read-only.
+    projected update.  The constructor copies the arrays and rejects
+    non-finite entries; :func:`simulate` advances such a copy in place and
+    returns it read-only.
     """
 
     graph: Graph
@@ -63,6 +64,8 @@ class NetworkState:
             array.setflags(write=False)
             if array.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+            if not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, array)
         if np.any(self.W[B == 0.0] != 0.0):
             raise ValueError("W must be zero on edges not incident to the node")

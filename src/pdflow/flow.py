@@ -409,7 +409,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
 
     trajectory: list[TrajectoryPoint] = []
     record = _make_recorder(problem, trajectory)
-    t, steps, last_recorded, finite = float(init.t), 0, -1, None
+    t, steps, finite = float(init.t), 0, None
     # divergence is detected by the explicit finiteness check; silence the
     # transient overflow warnings that precede it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -424,10 +424,10 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
                 residual = math.sqrt(stationarity.dot(stationarity)) + math.sqrt(r.dot(r))
                 if math.isfinite(residual):
                     finite = residual, steps
-                if due:
+                done = residual <= tol or steps >= max_steps
+                if due or done:
                     record(t, x, v, residual)
-                    last_recorded = steps
-                if residual <= tol or steps >= max_steps:
+                if done:
                     break
             advance()
             t += dt
@@ -444,8 +444,6 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
                     f"try a smaller dt than {dt:g}"
                 )
             gate = gate0 + gate1 * math.sqrt(ss)
-    if last_recorded != steps:
-        record(t, x, v, residual)
     return SolveResult(
         final=FlowState(x=x, v=v, t=t),
         converged=residual <= tol,

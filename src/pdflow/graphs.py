@@ -14,6 +14,21 @@ import numpy as np
 _ZERO_EIG_TOL = 1e-9
 
 
+def _add_edge(seen: set, n: int, i: int, j: int) -> tuple:
+    """Record edge (i, j) of an n-node graph in ``seen``; return it with the
+    smaller endpoint first.  Rejects endpoints outside 1..n, self-loops and
+    edges already in ``seen``."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"edge ({i}, {j}) references a node outside 1..{n}")
+    if i == j:
+        raise ValueError(f"self-loop at node {i}")
+    pair = (min(i, j), max(i, j))
+    if pair in seen:
+        raise ValueError(f"duplicate edge ({pair[0]}, {pair[1]})")
+    seen.add(pair)
+    return pair
+
+
 class Graph:
     """Connected undirected graph without self-loops or duplicate edges.
 
@@ -35,21 +50,9 @@ class Graph:
         n = int(n)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        normalized = []
         seen = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"edge ({i}, {j}) references a node outside 1..{n}")
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                raise ValueError(f"duplicate edge ({pair[0]}, {pair[1]})")
-            seen.add(pair)
-            normalized.append(pair)
         self.n = n
-        self.edges = tuple(normalized)
+        self.edges = tuple(_add_edge(seen, n, int(i), int(j)) for i, j in edges)
         self.heads = np.array([a - 1 for a, _ in self.edges], dtype=np.intp)
         self.tails = np.array([b - 1 for _, b in self.edges], dtype=np.intp)
         cols = np.arange(len(self.edges))
@@ -154,15 +157,10 @@ def parse_graph(text: str) -> Graph:
             i, j = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"line {lineno}: endpoints must be integers, got {raw!r}") from None
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"line {lineno}: edge ({i}, {j}) references a node outside 1..{n}")
-        if i == j:
-            raise ValueError(f"line {lineno}: self-loop at node {i}")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ValueError(f"line {lineno}: duplicate edge ({pair[0]}, {pair[1]})")
-        seen.add(pair)
-        edges.append(pair)
+        try:
+            edges.append(_add_edge(seen, n, i, j))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
     if n is None:
         raise ValueError("empty graph file")
     return Graph(n, edges)

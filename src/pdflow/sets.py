@@ -78,54 +78,14 @@ class SimpleSet:
             )
 
 
-class FreeSpace(SimpleSet):
-    """All of R^n; both projections are the identity."""
-
-    def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.dim = int(dim)
-
-    def _project_in_place(self, x) -> None:
-        pass
-
-    def _tangent(self, x, v) -> np.ndarray:
-        return v.copy()
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        _as_vector(x, self.dim)
-        return True
-
-    def __repr__(self):
-        return f"FreeSpace({self.dim})"
-
-
-class NonnegativeOrthant(SimpleSet):
-    """The set x >= 0 componentwise."""
-
-    def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.dim = int(dim)
-
-    def _project_in_place(self, x) -> None:
-        np.maximum(x, 0.0, out=x)
-
-    def _tangent(self, x, v) -> np.ndarray:
-        # at the boundary x_i = 0 only outward (negative) motion is removed
-        active = np.abs(x) <= ACTIVITY_RTOL
-        return np.where(active, np.maximum(v, 0.0), v)
-
-    def __repr__(self):
-        return f"NonnegativeOrthant({self.dim})"
-
-
 class Box(SimpleSet):
     """Componentwise bounds lower <= x <= upper; either bound may be infinite.
 
-    A half-space like ``x_0 >= 2`` is a Box with ``upper = +inf``.  Bound
-    comparisons short-circuit on infinite sentinels, so no arithmetic is ever
-    performed on them.
+    A half-space like ``x_0 >= 2`` is a Box with ``upper = +inf``.  Each side
+    with a finite bound keeps one ``(clamp, bound, band)`` entry: the lower
+    side clamps with ``np.maximum``, the upper with ``np.minimum``.  An
+    infinite bound gets the band -1: ``|x - bound|`` is still computed
+    there, but no coordinate ever counts as active at it.
     """
 
     def __init__(self, lower, upper):
@@ -144,20 +104,49 @@ class Box(SimpleSet):
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
         self.dim = lower.size
+        self._sides = tuple(
+            (clamp, bound, np.where(np.isfinite(bound), ACTIVITY_RTOL * (1 + np.abs(bound)), -1.0))
+            for clamp, bound in ((np.maximum, lower), (np.minimum, upper))
+            if np.isfinite(bound).any()
+        )
 
     def _project_in_place(self, x) -> None:
-        np.clip(x, self.lower, self.upper, out=x)
+        for clamp, bound, _ in self._sides:
+            clamp(x, bound, out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
-        lo, hi = self.lower, self.upper
-        at_lower = np.isfinite(lo) & (np.abs(x - lo) <= ACTIVITY_RTOL * (1.0 + np.abs(lo)))
-        at_upper = np.isfinite(hi) & (np.abs(hi - x) <= ACTIVITY_RTOL * (1.0 + np.abs(hi)))
-        w = np.where(at_lower, np.maximum(v, 0.0), v)
-        w = np.where(at_upper, np.minimum(w, 0.0), w)
-        return w
+        # at a bound, only motion out of the box is removed
+        w = v
+        for clamp, bound, band in self._sides:
+            w = np.where(np.abs(x - bound) <= band, clamp(w, 0.0), w)
+        return v.copy() if w is v else w
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
+
+
+class FreeSpace(Box):
+    """All of R^n: a box without bounds, so both projections are the identity."""
+
+    def __init__(self, dim: int):
+        if dim < 0:
+            raise ValueError("dimension must be nonnegative")
+        super().__init__(np.full(int(dim), -np.inf), np.full(int(dim), np.inf))
+
+    def __repr__(self):
+        return f"FreeSpace({self.dim})"
+
+
+class NonnegativeOrthant(Box):
+    """The set x >= 0 componentwise: a box with lower bound 0 and no upper."""
+
+    def __init__(self, dim: int):
+        if dim < 0:
+            raise ValueError("dimension must be nonnegative")
+        super().__init__(np.zeros(int(dim)), np.full(int(dim), np.inf))
+
+    def __repr__(self):
+        return f"NonnegativeOrthant({self.dim})"
 
 
 class Ball(SimpleSet):

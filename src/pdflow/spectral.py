@@ -47,34 +47,18 @@ def _log_sum_exp(eigenvalues: np.ndarray, eps: float):
     return (float(value) if value.ndim == 0 else value), weights
 
 
-def smoothed_max_eig(matrix, eps: float):
-    """Log-sum-exp of the spectrum: a smooth upper bound on lambda_max.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Symmetric matrix (symmetrized defensively), or a stack of them.
-    eps : float
-        Positive smoothing temperature.  The result lies in
-        ``[lambda_max, lambda_max + eps*log(N)]``.
-
-    Returns a float for one matrix and an array of shape ``(...)`` for a
-    stack.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    lam, _ = _raw_eigh(matrix)
-    return _log_sum_exp(lam, eps)[0]
-
-
 def smoothed_max_eig_grad(matrix, eps: float):
-    """:func:`smoothed_max_eig` and its gradient with respect to the matrix,
-    both from one eigendecomposition.
+    """Log-sum-exp of the spectrum and its gradient with respect to the
+    matrix, both from one eigendecomposition.
 
-    Returns ``(value, gradient)``.  The gradient is the softmax-weighted sum
-    of eigenvector outer products: a symmetric PSD matrix with unit trace
-    (one per matrix of a stack).  Invariant to eigenvector sign choices by
-    construction.
+    ``matrix`` is symmetric (symmetrized defensively) or a stack of them;
+    ``eps`` is the positive smoothing temperature.  Returns
+    ``(value, gradient)``.  The value lies in
+    ``[lambda_max, lambda_max + eps*log(N)]``: a float for one matrix, an
+    array of shape ``(...)`` for a stack.  The gradient is the
+    softmax-weighted sum of eigenvector outer products: a symmetric PSD
+    matrix with unit trace (one per matrix of a stack).  Invariant to
+    eigenvector sign choices by construction.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")

@@ -1,9 +1,9 @@
-"""Shared test helpers: random connected graphs and edge matrices, a
-per-node reference and the finite-difference oracle for the distributed node
-fields, the network's objective and augmented Lagrangian, one simulated
-round, the flow's Lagrangians and fields, the tangent-quotient and
-Lyapunov-distance oracles, and the matrix-exponential oracle for integrator
-orders."""
+"""Shared test helpers: the closed-form set references, random connected
+graphs and edge matrices, a per-node reference and the finite-difference
+oracle for the distributed node fields, the smoothed maximum eigenvalue, the
+network's objective and augmented Lagrangian, one simulated round, the
+flow's Lagrangians and fields, the tangent-quotient and Lyapunov-distance
+oracles, and the matrix-exponential oracle for integrator orders."""
 
 import dataclasses
 
@@ -20,8 +20,8 @@ from pdflow.connectivity import (
 )
 from pdflow.flow import FlowState, Objective, ProblemSpec, SolverConfig
 from pdflow.graphs import Graph
-from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad
-from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
+from pdflow.spectral import smoothed_max_eig_grad
+from pdflow.sets import ACTIVITY_RTOL, Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 
 # ------------------------------------------------- simple-set sampling
@@ -47,7 +47,9 @@ def sample_in_set(set_, rng, boundary_bias=0.4):
     oracle is legitimately inconsistent with the closed-form limit.
     """
     x = set_.project(rng.normal(scale=2.0, size=set_.dim))
-    if isinstance(set_, NonnegativeOrthant):
+    if isinstance(set_, FreeSpace):  # a Box, but without bounds to snap to
+        pass
+    elif isinstance(set_, NonnegativeOrthant):
         snap = rng.random(set_.dim) < boundary_bias
         x = np.where(snap, 0.0, np.maximum(x, 1e-3))
     elif isinstance(set_, Box):
@@ -80,11 +82,7 @@ def sample_in_set(set_, rng, boundary_bias=0.4):
 
 def strictly_interior(set_, x, margin=1e-6) -> bool:
     """Distance from x to the boundary exceeds the activity band."""
-    if isinstance(set_, FreeSpace):
-        return True
-    if isinstance(set_, NonnegativeOrthant):
-        return bool(np.all(x > margin))
-    if isinstance(set_, Box):
+    if isinstance(set_, Box):  # free space and the orthant too
         return bool(np.all(x > set_.lower + margin) and np.all(x < set_.upper - margin))
     if isinstance(set_, Ball):
         return bool(np.linalg.norm(x - set_.center) < set_.radius - margin)
@@ -94,6 +92,32 @@ def strictly_interior(set_, x, margin=1e-6) -> bool:
             for c, s in zip(set_.components, set_._slices)
         )
     raise TypeError(set_)
+
+
+# The orthant, box and free-space closed forms as separate code: the
+# references the merged Box implementation must match bit for bit.
+
+def reference_project(set_, x) -> np.ndarray:
+    if isinstance(set_, FreeSpace):
+        return np.array(x, dtype=float)
+    if isinstance(set_, NonnegativeOrthant):
+        return np.maximum(x, 0.0)
+    return np.clip(x, set_.lower, set_.upper)
+
+
+def reference_tangent(set_, x, v) -> np.ndarray:
+    if isinstance(set_, FreeSpace):
+        return v.copy()
+    if isinstance(set_, NonnegativeOrthant):
+        # at the boundary x_i = 0 only outward (negative) motion is removed
+        active = np.abs(x) <= ACTIVITY_RTOL
+        return np.where(active, np.maximum(v, 0.0), v)
+    lo, hi = set_.lower, set_.upper
+    with np.errstate(invalid="ignore"):  # x - lo at x = lo = -inf
+        at_lower = np.isfinite(lo) & (np.abs(x - lo) <= ACTIVITY_RTOL * (1.0 + np.abs(lo)))
+        at_upper = np.isfinite(hi) & (np.abs(hi - x) <= ACTIVITY_RTOL * (1.0 + np.abs(hi)))
+    w = np.where(at_lower, np.maximum(v, 0.0), v)
+    return np.where(at_upper, np.minimum(w, 0.0), w)
 
 
 def tangent_quotient(set_, x, v, delta: float) -> np.ndarray:
@@ -209,6 +233,11 @@ def reference_fields(network: NetworkState):
 
 
 # ------------------------------------------------- network oracles
+
+def smoothed_max_eig(matrix, eps: float):
+    """The value of :func:`smoothed_max_eig_grad` alone."""
+    return smoothed_max_eig_grad(matrix, eps)[0]
+
 
 def network_fields(network: NetworkState) -> Fields:
     """Every node's unprojected field values at the current state."""

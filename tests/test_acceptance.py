@@ -188,7 +188,8 @@ def test_criterion_5_projection_laws():
 
 
 def test_criterion_6_smoothing_suite():
-    from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad
+    from conftest import smoothed_max_eig
+    from pdflow.spectral import smoothed_max_eig_grad
 
     rng = np.random.default_rng(654)
     for _ in range(1000):

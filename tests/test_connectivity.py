@@ -18,6 +18,7 @@ from conftest import (
     random_connected_graph,
     reference_fields,
     reference_node_matrix,
+    smoothed_max_eig,
     symmetric_basis,
     with_node,
     worst_field_fd_error,
@@ -38,7 +39,7 @@ from pdflow.connectivity import (
 from pdflow.flow import SolverConfig
 from pdflow.graphs import Graph
 from pdflow.presets import EXAMPLE4_DT, EXAMPLE4_EPS, example4_graph
-from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad
+from pdflow.spectral import smoothed_max_eig_grad
 
 P3 = Graph(3, [(1, 2), (2, 3)])
 P4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
@@ -283,13 +284,26 @@ class TestRound:
     def test_non_finite_node_matrix_names_round_and_node(self):
         # the state after round 1 is finite, but node 3's X_3 overflows: the
         # eigensolver's finiteness check fails, not the state's; a non-finite
-        # start fails at round 0
+        # start is bad input, refused before any round
         net = with_node(zero_network(P4, eps=1e-3), 3, W=[0.0, 1e308, 0.0], v=-1.7e308)
         with pytest.raises(DivergenceError, match="^round 1: node 3 produced non-finite") as err:
             simulate(P4, 1e-3, SolverConfig(dt=1.0, max_steps=10, tol=1e-30), init=net)
         assert isinstance(err.value.__cause__.__context__, ValueError)
-        with pytest.raises(DivergenceError, match="^round 0: node 2 produced non-finite"):
-            one_round(with_node(zero_network(P3), 2, mu=np.nan), 0.1)
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            with_node(zero_network(P3), 2, mu=np.nan)
+
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("mu", np.inf),
+            ("W", [np.nan, 0.0]),  # node 2's contribution to edge 1
+            ("Z", np.full((3, 3), -np.inf)),  # symmetric, so only finiteness fails
+            ("v", np.nan),
+        ],
+    )
+    def test_non_finite_state_is_rejected_naming_the_array(self, name, row):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            with_node(zero_network(P3), 2, **{name: row})
 
     def test_overflowing_sum_of_finite_state_keeps_running(self, monkeypatch):
         # every entry stays finite, but the v entries sum past the largest

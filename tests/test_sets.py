@@ -8,7 +8,14 @@ projections against idempotence, nonexpansiveness and the Moreau identity.
 import numpy as np
 import pytest
 
-from conftest import make_set_variants, sample_in_set, strictly_interior, tangent_quotient
+from conftest import (
+    make_set_variants,
+    reference_project,
+    reference_tangent,
+    sample_in_set,
+    strictly_interior,
+    tangent_quotient,
+)
 from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 make_sets = make_set_variants
@@ -165,6 +172,65 @@ class TestQuotientOracle:
             err = np.linalg.norm(closed - quotient)
             assert err <= 1e-6 * (1.0 + np.linalg.norm(v))
 
+
+
+class TestBoxReferences:
+    """The orthant and free space are Boxes; the one Box implementation
+    matches the separate closed forms bit for bit (see conftest)."""
+
+    SETS = [
+        pytest.param(FreeSpace(3), id="free"),
+        pytest.param(NonnegativeOrthant(5), id="orthant"),
+        pytest.param(Box([2.0, -np.inf], [np.inf, np.inf]), id="example1"),
+        pytest.param(Box([0.0, -1.0, 2.0], [1.0, 1.0, np.inf]), id="mixed"),
+        pytest.param(Box([-np.inf, 0.0, -0.0], [0.0, 0.0, 0.0]), id="degenerate"),
+        pytest.param(Box(-np.ones(200), np.ones(200)), id="box200"),
+    ]
+    SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-10, -1e-10])
+
+    def points(self, set_, rng):
+        """Random points with coordinates snapped to finite bounds, to
+        just off them and to signed zeros, NaN and infinities."""
+        lo, hi = set_.lower, set_.upper
+        for _ in range(300):
+            x = rng.normal(scale=3.0, size=set_.dim)
+            pick = rng.random(set_.dim)
+            x = np.where((pick < 0.2) & np.isfinite(lo), lo, x)
+            x = np.where((pick >= 0.2) & (pick < 0.4) & np.isfinite(hi), hi, x)
+            x = np.where((pick >= 0.4) & (pick < 0.5), np.nextafter(x, np.inf), x)
+            x = np.where(pick >= 0.85, rng.choice(self.SPECIAL, set_.dim), x)
+            v = rng.normal(size=set_.dim)
+            v = np.where(rng.random(set_.dim) < 0.2, rng.choice(self.SPECIAL, set_.dim), v)
+            yield x, v
+
+    @pytest.mark.parametrize("set_", SETS)
+    def test_matches_closed_forms_bitwise(self, set_):
+        rng = np.random.default_rng(15)
+        # x - bound is NaN where x and the bound are the same infinity
+        with np.errstate(invalid="ignore"):
+            for x, v in self.points(set_, rng):
+                projected = x.copy()
+                set_._project_in_place(projected)
+                assert projected.tobytes() == reference_project(set_, x).tobytes()
+                w = set_._tangent(x, v)
+                assert w.tobytes() == reference_tangent(set_, x, v).tobytes()
+                assert not np.shares_memory(w, v)
+
+    def test_orthant_and_free_space_are_boxes(self):
+        for set_, lower in ((NonnegativeOrthant(2), 0.0), (FreeSpace(2), -np.inf)):
+            assert isinstance(set_, Box)
+            assert np.array_equal(set_.lower, [lower] * 2)
+            assert np.array_equal(set_.upper, [np.inf] * 2)
+        assert repr(NonnegativeOrthant(2)) == "NonnegativeOrthant(2)"
+        assert repr(FreeSpace(0)) == "FreeSpace(0)"
+        for cls in (FreeSpace, NonnegativeOrthant):
+            with pytest.raises(ValueError, match="^dimension must be nonnegative$"):
+                cls(-1)
+
+    def test_free_space_excludes_nan_as_a_product_does(self):
+        assert not FreeSpace(2).contains([np.nan, 0.0])
+        assert not Product([FreeSpace(2)]).contains([np.nan, 0.0])
+        assert FreeSpace(2).contains([1e300, -0.0])
 
 
 class TestValidation:

@@ -4,8 +4,8 @@ finite-difference consistency and the non-strict-convexity witness."""
 import numpy as np
 import pytest
 
+from conftest import smoothed_max_eig
 from pdflow.spectral import (
-    smoothed_max_eig,
     _raw_eigh,
     smoothed_max_eig_grad,
     symmetrize,

@@ -19,10 +19,7 @@ from .flow import (
     ProblemSpec,
     SolveResult,
     SolverConfig,
-    euler_step,
-    heun_step,
     kkt_residual,
-    rk4_step,
     solve,
 )
 from .graphs import (
@@ -61,10 +58,7 @@ __all__ = [
     "ProblemSpec",
     "SolveResult",
     "SolverConfig",
-    "euler_step",
-    "heun_step",
     "kkt_residual",
-    "rk4_step",
     "solve",
     "Graph",
     "algebraic_connectivity",

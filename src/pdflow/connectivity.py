@@ -29,10 +29,8 @@ import numpy as np
 
 from .flow import DivergenceError, SolverConfig
 from .graphs import Graph, algebraic_connectivity, weighted_laplacian
+from .sets import NonnegativeOrthant
 from .spectral import smoothed_max_eig_grad
-
-# A weight contribution counts as sitting on the zero bound within this band.
-_ACTIVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +38,10 @@ class NetworkState:
     """Every node's variables, one read-only array per variable.
 
     Row i (0-based) of each array belongs to node i + 1; column k of ``W``
-    to edge label k + 1.  Contributions stay nonnegative under the
-    projected update.  The constructor copies the arrays and rejects
-    non-finite entries; :func:`simulate` advances such a copy in place and
-    returns it read-only.
+    to edge label k + 1.  Contributions are nonnegative and stay so under
+    the projected update.  The constructor copies the arrays and rejects
+    non-finite entries and negative contributions; :func:`simulate`
+    advances such a copy in place and returns it read-only.
     """
 
     graph: Graph
@@ -67,6 +65,8 @@ class NetworkState:
             if not np.isfinite(array).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, array)
+        if np.any(self.W < 0.0):
+            raise ValueError("W must be nonnegative")
         if np.any(self.W[B == 0.0] != 0.0):
             raise ValueError("W must be zero on edges not incident to the node")
         if not np.array_equal(self.Z, np.swapaxes(self.Z, 1, 2)):
@@ -109,6 +109,7 @@ def _tables(graph: Graph) -> SimpleNamespace:
     node, edge = np.nonzero(B)
     a, b = graph.heads[edge], graph.tails[edge]
     return SimpleNamespace(
+        orthant=NonnegativeOrthant(B.size),  # the flat W's set
         mask=B != 0.0,  # the contributions a node owns
         w_at=node * graph.num_edges + edge,  # flat W index of each owned w_ik
         # flat X indices of its entries (i, a_k, b_k) and (i, b_k, a_k)
@@ -158,14 +159,14 @@ def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
     return Fields(dmu=flat.sum(axis=1), dW=dW, dZ=dZ, dv=g)
 
 
-def _residual_from_messages(network: NetworkState, fields: Fields, triu: np.ndarray) -> float:
+def _residual_from_messages(network: NetworkState, fields: Fields, tables) -> float:
     """Sum of absolute budget violations plus the Euclidean norm of all
     projected primal fields (mu, w and the upper-triangle z coefficients of
-    every node); zero exactly at equilibria of the dynamics.  ``triu`` holds
-    the flat upper-triangle indices of an N x N matrix, built once per run."""
+    every node); zero exactly at equilibria of the dynamics.  ``tables`` is
+    the run's :func:`_tables`."""
     # tangent cone of the orthant: a contribution on the bound may not decrease
-    dW = np.where(network.W <= _ACTIVITY_TOL, np.maximum(fields.dW, 0.0), fields.dW)
-    dz = fields.dZ.reshape(len(fields.dZ), -1)[:, triu]
+    dW = tables.orthant._tangent(network.W.reshape(-1), fields.dW.reshape(-1))
+    dz = fields.dZ.reshape(len(fields.dZ), -1)[:, tables.triu]
     sq = fields.dmu @ fields.dmu + (dW * dW).sum() + (dz * dz).sum()
     return float(np.abs(fields.dv).sum() + math.sqrt(sq))
 
@@ -245,7 +246,7 @@ def simulate(
             while True:
                 values, G = _broadcast(network, tables)
                 fields = _fields(network, G, tables)
-                residual = _residual_from_messages(network, fields, tables.triu)
+                residual = _residual_from_messages(network, fields, tables)
                 done = residual <= config.tol or rounds >= config.max_steps
                 if done or rounds % config.record_stride == 0:
                     history.append(
@@ -262,7 +263,7 @@ def simulate(
                 for array, field in zip(arrays, fields):
                     field *= config.dt
                     array += field
-                np.maximum(W, 0.0, out=W)
+                tables.orthant._project_in_place(W.reshape(-1))
                 rounds += 1
                 # a non-finite total (non-finite entry or overflow) runs the exact check
                 if not math.isfinite(mu.sum() + W.sum() + Z.sum() + v.sum()):

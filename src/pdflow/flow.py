@@ -11,10 +11,10 @@ while the dual variable ascends on the constraint violation:
     dx/dt = Pi_K(x, -grad f(x) - A^T v - rho * A^T (A x - b))
     dv/dt = A x - b
 
-Fixed-step discretizations are provided: the forward-Euler scheme applies
-the nearest-point projection to the full Euler step (a proximal update that
-keeps iterates exactly feasible), and Heun/RK4 integrate the projected
-vector field with every stage point re-projected onto K.
+:func:`solve` integrates it with a fixed step: the forward-Euler scheme
+applies the nearest-point projection to the full Euler step (a proximal
+update that keeps iterates exactly feasible), and Heun/RK4 integrate the
+projected vector field with every stage point re-projected onto K.
 """
 
 from __future__ import annotations
@@ -164,41 +164,6 @@ class ProblemSpec:
         K[n:, :n] = A
         return K, g0
 
-    @cached_property
-    def _field(self):
-        """``field(s, out)`` writes the unprojected field at ``s = [x; v]``
-        into ``out``, from :attr:`_kernel`."""
-        (K, g0), n, objective = self._kernel, self.dim, self.objective
-
-        def field(s, out):
-            K.dot(s, out=out)
-            out += g0
-            if objective.c is None:
-                out[:n] -= objective.gradient(s[:n])
-            return out
-
-        return field
-
-    def _euler_map(self, dt: float) -> np.ndarray:
-        """``E = [[I + dt K, dt g0], [A, 0, -b]]``, memoized for the last ``dt``.
-
-        ``E [x; v; 1]`` is the unprojected Euler step ``s + dt (K s + g0)``
-        (top ``n + m`` rows) followed by ``A x - b`` (bottom ``m`` rows).
-        """
-        memo = self.__dict__.get("_euler_memo")
-        if memo is None or memo[0] != dt:
-            (K, g0), k = self._kernel, self.dim + self.num_constraints
-            E = np.empty((k + self.num_constraints, k + 1))
-            np.multiply(K, dt, out=E[:k, :k])
-            diagonal = np.arange(k)
-            E[diagonal, diagonal] += 1.0
-            np.multiply(g0, dt, out=E[:k, k])
-            E[k:, :k] = K[self.dim :]
-            E[k:, k] = g0[self.dim :]
-            memo = (dt, E)
-            self.__dict__["_euler_memo"] = memo  # frozen: as cached_property does
-        return memo[1]
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -258,30 +223,40 @@ class SolveResult:
 def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
     """``(s, dual, first, advance)``: a step is ``first()``, which fills
     ``dual`` with ``A x - b`` at the state ``s = [x0; v0]``, then
-    ``advance()``, which moves ``s`` in place.
+    ``advance()``, which moves ``s`` in place.  Both read ``(K, g0)`` from
+    :attr:`ProblemSpec._kernel` and subtract ``grad f`` where the objective
+    is not folded into ``K``.
 
     Euler is proximal, ``x+ = P_K(x - dt y)``: ``first()`` is one matvec
-    ``u = E [x; v; 1]`` with the augmented map of
-    :meth:`ProblemSpec._euler_map` (memoized per ``dt``), whose top rows are
-    the unprojected step and whose bottom rows are ``dual``; ``advance()``
-    projects the x-slice of ``u`` onto the set and copies it into ``s``.
-    ``(I + dt K) s + dt g0`` rounds differently from ``s + dt (K s + g0)``,
-    so Euler iterates differ from the unfused form in the last bits only;
-    on the presets the stop steps are the same.
+    ``u = E [x; v; 1]`` with the augmented map
+    ``E = [[I + dt K, dt g0], [A, 0, -b]]``, built once per call, whose top
+    rows are the unprojected step and whose bottom rows are ``dual``;
+    ``advance()`` projects the x-slice of ``u`` onto the set and copies it
+    into ``s``.  ``(I + dt K) s + dt g0`` rounds differently from
+    ``s + dt (K s + g0)``, so Euler iterates differ from the unfused form in
+    the last bits only; on the presets the stop steps are the same.
 
-    Heun and RK4 project each stage field's x-slice onto the tangent cone
-    at its stage point, and each stage point onto the set; ``dual`` is the
-    first stage's ``k1[n:]``.
+    Heun and RK4 project each stage field ``K s + g0``'s x-slice onto the
+    tangent cone at its stage point, and each stage point onto the set;
+    ``dual`` is the first stage's ``k1[n:]``.
     """
-    n, project = problem.dim, problem.set._project_in_place
+    n, m, project = problem.dim, problem.num_constraints, problem.set._project_in_place
+    (K, g0), k = problem._kernel, n + m
+    folded, grad = problem.objective.c is not None, problem.objective.gradient
     if integrator == "euler":
-        E, k = problem._euler_map(dt), n + problem.num_constraints
-        augmented, u = np.empty(k + 1), np.empty(E.shape[0])
+        E = np.empty((k + m, k + 1))
+        np.multiply(K, dt, out=E[:k, :k])
+        diagonal = np.arange(k)
+        E[diagonal, diagonal] += 1.0
+        np.multiply(g0, dt, out=E[:k, k])
+        E[k:, :k] = K[n:]
+        E[k:, k] = g0[n:]
+        augmented, u = np.empty(k + 1), np.empty(k + m)
         s, x, ux, step = augmented[:k], augmented[:n], u[:n], u[:k]
         s[:n], s[n:], augmented[k] = x0, v0, 1.0
         first = partial(E.dot, augmented, u)  # out=u, which partial passes slower
-        if problem.objective.c is None:  # the gradient is not in E
-            unfolded, grad = first, problem.objective.gradient
+        if not folded:
+            unfolded = first
 
             def first():
                 unfolded()
@@ -293,12 +268,15 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
 
         return s, u[k:], first, advance
 
-    field, tangent = problem._field, problem.set._tangent
+    tangent = problem.set._tangent
     s = np.concatenate([x0, v0])
-    u, k1, k2, k3, k4 = np.empty((5, s.size))
+    u, k1, k2, k3, k4 = np.empty((5, k))
 
     def stage(point, out):  # the projected field at a stage point
-        field(point, out)
+        K.dot(point, out=out)
+        out += g0
+        if not folded:
+            out[:n] -= grad(point[:n])
         out[:n] = tangent(point[:n], out[:n])
         return out
 
@@ -318,31 +296,6 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
         move(k1 + 2.0 * k2 + 2.0 * k3 + k4, dt / 6.0, s)
 
     return s, k1[n:], partial(stage, s, k1), {"heun": heun, "rk4": rk4}[integrator]
-
-
-def _step(problem: ProblemSpec, state: FlowState, dt: float, integrator: str) -> FlowState:
-    s, _, first, advance = _integrator(problem, integrator, dt, state.x, state.v)
-    first()
-    advance()
-    return FlowState(x=s[: problem.dim], v=s[problem.dim :], t=state.t + dt)
-
-
-def euler_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
-    """Forward-Euler step in proximal form, x+ = P_K(x - dt * y) with y the
-    augmented-Lagrangian gradient; the dual update is a plain Euler step."""
-    return _step(problem, state, dt, "euler")
-
-
-def heun_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
-    """Two-stage Heun step on the projected field; stage and final primal
-    points are re-projected onto the set."""
-    return _step(problem, state, dt, "heun")
-
-
-def rk4_step(problem: ProblemSpec, state: FlowState, dt: float) -> FlowState:
-    """Classical four-stage Runge-Kutta step on the projected field; stage
-    and final primal points are re-projected onto the set."""
-    return _step(problem, state, dt, "rk4")
 
 
 def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
@@ -386,13 +339,14 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     every ``record_stride`` steps plus the final state.  Raises
     :class:`DivergenceError` if an iterate stops being finite.
 
-    Bit for bit, this iterates and stops like the configured stepper with
-    :func:`kkt_residual`.  One matrix-vector product per step feeds both
-    the step and the stop test: the residual is evaluated in full, with
-    ``kkt_residual``'s arithmetic, only on recorded steps or once the
-    step's own ``A x - b`` admits feasibility within ``tol`` (before, the
-    sum exceeds it).  The :class:`DivergenceError` names the step, the first
-    non-finite coordinate and the last finite residual, if any, with its step.
+    It stops at exactly the step where taking the same steps one at a time
+    and testing :func:`kkt_residual` after each would.  One matrix-vector
+    product per step feeds both the step and the stop test: the residual is
+    evaluated in full, with ``kkt_residual``'s arithmetic, only on recorded
+    steps or once the step's own ``A x - b`` admits feasibility within
+    ``tol`` (before, the sum exceeds it).  The :class:`DivergenceError`
+    names the step, the first non-finite coordinate and the last finite
+    residual, if any, with its step.
     """
     n, m = problem.dim, problem.num_constraints
     v0 = np.asarray(init.v, dtype=float)

@@ -78,10 +78,6 @@ class Graph:
             raise ValueError(f"node {i} out of range 1..{self.n}")
         return i - 1
 
-    def neighbors(self, i: int) -> tuple:
-        """Nodes adjacent to node ``i``, ascending."""
-        return tuple((np.flatnonzero(self.laplacian[self._row(i)] < 0.0) + 1).tolist())
-
     def incident_edges(self, i: int) -> tuple:
         """Labels of the edges touching node ``i``, ascending."""
         return tuple((np.flatnonzero(self.incidence[self._row(i)]) + 1).tolist())

@@ -66,8 +66,10 @@ class SimpleSet:
         raise NotImplementedError
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        """True iff the distance from ``x`` to the set is at most ``tol``."""
+        """True iff ``x`` is finite and its distance to the set is at most ``tol``."""
         x = _as_vector(x, self.dim)
+        if not np.isfinite(x).all():  # before inf - inf can warn
+            return False
         return float(np.linalg.norm(self.project(x) - x)) <= tol
 
     def _require_member(self, x: np.ndarray) -> None:

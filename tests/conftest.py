@@ -2,10 +2,12 @@
 graphs and edge matrices, a per-node reference and the finite-difference
 oracle for the distributed node fields, the smoothed maximum eigenvalue, the
 network's objective and augmented Lagrangian, one simulated round, the
-flow's Lagrangians and fields, the tangent-quotient and Lyapunov-distance
-oracles, and the matrix-exponential oracle for integrator orders."""
+flow's Lagrangians and fields, one-step and in-place steppers, the
+tangent-quotient and Lyapunov-distance oracles, and the matrix-exponential
+oracle for integrator orders."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -18,7 +20,7 @@ from pdflow.connectivity import (
     node_matrices,
     simulate,
 )
-from pdflow.flow import FlowState, Objective, ProblemSpec, SolverConfig
+from pdflow.flow import FlowState, Objective, ProblemSpec, SolverConfig, _integrator
 from pdflow.graphs import Graph
 from pdflow.spectral import smoothed_max_eig_grad
 from pdflow.sets import ACTIVITY_RTOL, Ball, Box, FreeSpace, NonnegativeOrthant, Product
@@ -171,6 +173,11 @@ def with_node(network: NetworkState, i: int, **rows) -> NetworkState:
     return dataclasses.replace(network, **arrays)
 
 
+def neighbors(graph: Graph, i: int) -> tuple:
+    """Nodes adjacent to node ``i``, ascending."""
+    return tuple((np.flatnonzero(graph.laplacian[i - 1] < 0.0) + 1).tolist())
+
+
 # ------------------------------------------------- per-node reference
 
 def num_basis(n: int) -> int:
@@ -199,7 +206,7 @@ def reference_node_matrix(network: NetworkState, i: int) -> np.ndarray:
     X = -network.mu[i - 1] * np.ones((n, n))
     for k in graph.incident_edges(i):
         X -= network.W[i - 1, k - 1] * edge_matrix(graph, k)
-    for j in graph.neighbors(i):
+    for j in neighbors(graph, i):
         X += network.Z[i - 1] - network.Z[j - 1]
     return X
 
@@ -224,7 +231,7 @@ def reference_fields(network: NetworkState):
             dW[i - 1, k - 1] = (
                 np.trace(G[i - 1] @ edge_matrix(graph, k)) - network.v[i - 1] - g
             )
-        S = sum(G[i - 1] - G[j - 1] for j in graph.neighbors(i))
+        S = sum(G[i - 1] - G[j - 1] for j in neighbors(graph, i))
         for l in range(1, num_basis(n) + 1):
             B = symmetric_basis(l, n)
             dZ[i - 1] += -np.trace(S @ B) * B
@@ -333,16 +340,46 @@ def augmented_lagrangian(problem: ProblemSpec, x, v) -> float:
 
 
 def primal_field(problem: ProblemSpec, x, v) -> np.ndarray:
-    """Primal velocity: the descent direction projected onto the tangent cone at x."""
-    s = np.concatenate([np.asarray(x, dtype=float), np.asarray(v, dtype=float)])
-    g = problem._field(s, np.empty_like(s))
-    return problem.set.project_tangent(s[: problem.dim], g[: problem.dim])
+    """Primal velocity: -grad f - A^T v - rho A^T (A x - b), from the problem
+    data, projected onto the tangent cone at x."""
+    x = np.asarray(x, dtype=float)
+    A = problem.A
+    g = -problem.objective.gradient(x) - A.T @ v - problem.rho * A.T @ (A @ x - problem.b)
+    return problem.set.project_tangent(x, g)
 
 
 def dual_field(problem: ProblemSpec, x) -> np.ndarray:
     """Dual velocity: the constraint violation A x - b."""
     x = np.asarray(x, dtype=float)
     return problem.A @ x - problem.b
+
+
+# ------------------------------------------------- steppers
+
+def one_step(problem: ProblemSpec, state: FlowState, dt: float, integrator: str) -> FlowState:
+    """One step of ``integrator`` from ``state``, with the step solve takes."""
+    s, _, first, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    first()
+    advance()
+    return FlowState(x=s[: problem.dim], v=s[problem.dim :], t=state.t + dt)
+
+
+euler_step = partial(one_step, integrator="euler")
+heun_step = partial(one_step, integrator="heun")
+rk4_step = partial(one_step, integrator="rk4")
+STEPPERS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
+
+
+def stepping(problem: ProblemSpec, integrator: str, dt: float, state: FlowState):
+    """The states after each step from ``state``: one integrator advanced in
+    place, bit for bit the iterates of :func:`one_step` repeated."""
+    s, _, first, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    n, t = problem.dim, state.t
+    while True:
+        first()
+        advance()
+        t += dt
+        yield FlowState(x=s[:n], v=s[n:], t=t)
 
 
 # ------------------------------------------------- linear saddle oracle
@@ -375,21 +412,22 @@ def lyapunov_distance(state: FlowState, saddle: FlowState) -> float:
     return 0.5 * (float(dx @ dx) + float(dv @ dv))
 
 
-def saddle_global_error(stepper, dt, horizon, z0):
+def saddle_global_error(integrator, dt, horizon, z0):
     """Distance to the exact (matrix-exponential) flow at the reached time."""
     problem, M, z_star = saddle_test_system()
     state = FlowState(x=z0[:1], v=z0[1:])
     steps = int(round(horizon / dt))
+    states = stepping(problem, integrator, dt, state)
     for _ in range(steps):
-        state = stepper(problem, state, dt)
+        state = next(states)
     exact = z_star + expm(M * (steps * dt)) @ (z0 - z_star)
     return float(np.linalg.norm(np.concatenate([state.x, state.v]) - exact))
 
 
-def integrator_order_slope(stepper, dts=(1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3)):
+def integrator_order_slope(integrator, dts=(1e-1, 10 ** -1.5, 1e-2, 10 ** -2.5, 1e-3)):
     """Log-log slope of global error vs dt, ignoring the roundoff floor."""
     z0 = np.array([4.0, -3.0])
-    errors = [saddle_global_error(stepper, dt, 2.0, z0) for dt in dts]
+    errors = [saddle_global_error(integrator, dt, 2.0, z0) for dt in dts]
     pairs = [(dt, err) for dt, err in zip(dts, errors) if err > 1e-12]
     assert len(pairs) >= 3
     logd = np.log([d for d, _ in pairs])

@@ -17,19 +17,13 @@ from conftest import (
     make_set_variants,
     random_connected_graph,
     sample_in_set,
+    stepping,
     strictly_interior,
     tangent_quotient,
     worst_field_fd_error,
 )
 from pdflow import connectivity as distnet
-from pdflow.flow import (
-    FlowState,
-    SolverConfig,
-    euler_step,
-    heun_step,
-    rk4_step,
-    solve,
-)
+from pdflow.flow import FlowState, SolverConfig, solve
 from pdflow.presets import (
     EXAMPLE2_OPTIMAL_VALUE,
     EXAMPLE4_DT,
@@ -235,8 +229,7 @@ def test_criterion_7_lyapunov_monotonicity(ex2_tight):
     dt = 1e-3
     state = FlowState(x=problem.set.project(np.array([6.0, -2.0])), v=np.array([0.0]))
     d_prev = lyapunov_distance(state, saddle)
-    for _ in range(30_000):
-        state = euler_step(problem, state, dt)
+    for _, state in zip(range(30_000), stepping(problem, "euler", dt, state)):
         d = lyapunov_distance(state, saddle)
         assert d <= d_prev + 1e-6 * (1.0 + d_prev)
         d_prev = d
@@ -246,8 +239,7 @@ def test_criterion_7_lyapunov_monotonicity(ex2_tight):
     saddle2 = tight.final
     state = FlowState(x=problem2.set.project(np.zeros(5)), v=np.zeros(3))
     d_prev = lyapunov_distance(state, saddle2)
-    for _ in range(150_000):
-        state = euler_step(problem2, state, dt)
+    for _, state in zip(range(150_000), stepping(problem2, "euler", dt, state)):
         d = lyapunov_distance(state, saddle2)
         assert d <= d_prev + 1e-6 * (1.0 + d_prev)
         d_prev = d
@@ -315,12 +307,8 @@ def test_invariant_objective_settles(ex3_run):
 
 def test_criterion_9_integrator_orders():
     slopes = {}
-    for name, stepper, nominal in (
-        ("euler", euler_step, 1.0),
-        ("heun", heun_step, 2.0),
-        ("rk4", rk4_step, 4.0),
-    ):
-        slope = integrator_order_slope(stepper)
+    for name, nominal in (("euler", 1.0), ("heun", 2.0), ("rk4", 4.0)):
+        slope = integrator_order_slope(name)
         assert abs(slope - nominal) <= 0.4
         slopes[name] = slope
     _report(

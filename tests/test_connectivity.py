@@ -467,6 +467,14 @@ class TestNetworkStateValidation:
         with pytest.raises(ValueError, match="symmetric"):
             dataclasses.replace(zero_network(K2), Z=Z)
 
+    def test_negative_w_rejected(self):
+        # before this check simulate failed in its round-0 history record
+        network = initial_network(P3, 1e-3)
+        W = np.array(network.W)
+        W[0, 0] = -5.0
+        with pytest.raises(ValueError, match="^W must be nonnegative$"):
+            dataclasses.replace(network, W=W)
+
     def test_single_node_graph_rejected(self):
         with pytest.raises(ValueError, match="at least 2 nodes"):
             initial_network(Graph(1, []), 1e-3)

@@ -13,13 +13,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    STEPPERS,
     augmented_lagrangian,
     dual_field,
+    euler_step,
     integrator_order_slope,
     lagrangian,
     lyapunov_distance,
     primal_field,
     saddle_global_error,
+    stepping,
 )
 from pdflow.flow import (
     DivergenceError,
@@ -29,10 +32,7 @@ from pdflow.flow import (
     SolverConfig,
     _feasibility_gate,
     _integrator,
-    euler_step,
-    heun_step,
     kkt_residual,
-    rk4_step,
     solve,
 )
 from pdflow.presets import (
@@ -43,8 +43,6 @@ from pdflow.presets import (
     lp_config,
 )
 from pdflow.sets import Ball, Box, FreeSpace, NonnegativeOrthant, Product
-
-STEPPERS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
 
 
 def quadratic_free_problem(q=1.0, a=1.0, b0=1.0, rho=1.0):
@@ -87,11 +85,11 @@ def central_difference(f, x, h=1e-5):
     return grad
 
 
-def iterate_until_within_tol(problem, stepper, state, dt, tol):
-    """The public stepper iterated until kkt_residual <= tol: (state, steps)."""
-    steps = 0
+def iterate_until_within_tol(problem, integrator, state, dt, tol):
+    """Steps taken one at a time until kkt_residual <= tol: (state, steps)."""
+    steps, states = 0, stepping(problem, integrator, dt, state)
     while kkt_residual(problem, state) > tol:
-        state = stepper(problem, state, dt)
+        state = next(states)
         steps += 1
     return state, steps
 
@@ -276,7 +274,7 @@ class TestSteps:
     def test_equilibrium_is_fixed_point(self):
         p = example1_problem()
         s = example1_saddle()
-        for stepper in (euler_step, heun_step, rk4_step):
+        for stepper in STEPPERS.values():
             nxt = stepper(p, s, 0.1)
             assert np.linalg.norm(nxt.x - s.x) <= 1e-12
             assert np.linalg.norm(nxt.v - s.v) <= 1e-12
@@ -293,7 +291,7 @@ class TestSteps:
     def test_zero_dt_is_identity(self):
         p = example1_problem()
         s = FlowState(x=np.array([3.0, 1.0]), v=np.array([0.5]))
-        for stepper in (euler_step, heun_step, rk4_step):
+        for stepper in STEPPERS.values():
             nxt = stepper(p, s, 0.0)
             assert np.array_equal(nxt.x, s.x)
             assert np.array_equal(nxt.v, s.v)
@@ -387,8 +385,7 @@ class TestLyapunov:
         s = FlowState(x=np.array([5.0, -1.0]), v=np.array([0.0]))
         s = FlowState(x=p.set.project(s.x), v=s.v)
         d_prev = lyapunov_distance(s, saddle)
-        for _ in range(20000):
-            s = euler_step(p, s, 1e-3)
+        for _, s in zip(range(20000), stepping(p, "euler", 1e-3, s)):
             d = lyapunov_distance(s, saddle)
             assert d <= d_prev + 1e-6 * (1.0 + d_prev)
             d_prev = d
@@ -462,17 +459,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
     def test_stops_at_first_step_within_tol(self, tol):
-        # each integrator against its public stepper; a stride longer than
-        # the run, so the stopping step is never a recorded one and the
-        # residual test runs on its own
+        # each integrator against its steps taken one at a time; a stride
+        # longer than the run, so the stopping step is never a recorded one
+        # and the residual test runs on its own
         p = example1_problem()
         init = FlowState(x=np.array([6.0, -2.0]), v=np.array([1.0]))
-        for integrator, stepper in STEPPERS.items():
+        for integrator in STEPPERS:
             cfg = SolverConfig(
                 dt=1e-2, max_steps=10_000, tol=tol, record_stride=10**6, integrator=integrator
             )
             res = solve(p, cfg, init)
-            s, steps = iterate_until_within_tol(p, stepper, init, cfg.dt, tol)
+            s, steps = iterate_until_within_tol(p, integrator, init, cfg.dt, tol)
             assert res.converged and res.steps_taken == steps, integrator
             assert np.array_equal(res.final.x, s.x), integrator
             assert np.array_equal(res.final.v, s.v), integrator
@@ -480,7 +477,7 @@ class TestSolve:
 
     def test_divergence_error_names_step(self):
         # every integrator: the error names the first step whose iterate the
-        # public stepper makes non-finite, and no earlier step met tol; the
+        # one-step reference makes non-finite, and no earlier step met tol; the
         # last residual it names is finite and is the stepper's kkt_residual at
         # an earlier step
         p = quadratic_free_problem(q=1.0, a=1.0)
@@ -514,13 +511,14 @@ class TestSolve:
         )
         init = FlowState(x=np.zeros(5), v=np.zeros(3))
         res = solve(p, cfg, init)
+        z, dual, first, advance = _integrator(p, integrator, cfg.dt, init.x, init.v)
+        x, v = z[: p.dim], z[p.dim :]
         s, steps, differing = init, 0, 0
         while kkt_residual(p, s) > tol:
-            _, dual, first, _ = _integrator(p, integrator, cfg.dt, s.x, s.v)
             first()
-            differing += not np.array_equal(dual, p.A.dot(s.x) - p.b)
-            s = STEPPERS[integrator](p, s, cfg.dt)
-            steps += 1
+            differing += not np.array_equal(dual, p.A.dot(x) - p.b)
+            advance()
+            s, steps = FlowState(x=x, v=v), steps + 1
         assert differing > 0
         assert res.converged and res.steps_taken == steps
         assert np.array_equal(res.final.x, s.x)
@@ -532,12 +530,12 @@ class TestSolve:
         cfg = SolverConfig(dt=1e-2, max_steps=10**6, tol=1e-3, record_stride=50)
         init = FlowState(x=np.zeros(5), v=np.zeros(3))
         res = solve(p, cfg, init)
-        s = init
+        s, states = init, stepping(p, "euler", cfg.dt, init)
         for step in range(res.steps_taken):
             if step % cfg.record_stride == 0:
                 point = res.trajectory[step // cfg.record_stride]
                 assert np.array_equal(point.x, s.x) and np.array_equal(point.v, s.v)
-            s = euler_step(p, s, cfg.dt)
+            s = next(states)
         assert np.array_equal(res.final.x, s.x)
         assert np.array_equal(res.final.v, s.v)
         assert res.residual == kkt_residual(p, s)
@@ -578,7 +576,7 @@ class TestSolve:
         cfg = SolverConfig(dt=5e-2, max_steps=50_000, tol=1e-9, integrator=integrator)
         init = FlowState(x=np.array([2.0, -1.0, 1.0]), v=np.zeros(1))
         res = solve(p, cfg, init)
-        s, steps = iterate_until_within_tol(p, STEPPERS[integrator], init, cfg.dt, cfg.tol)
+        s, steps = iterate_until_within_tol(p, integrator, init, cfg.dt, cfg.tol)
         assert res.converged and res.steps_taken == steps
         assert np.array_equal(res.final.x, s.x)
         assert np.array_equal(res.final.v, s.v)
@@ -631,14 +629,15 @@ class TestFeasibilityGate:
         ]
         above = 0
         for p in problems:
-            n, field = p.dim, np.empty(p.dim + p.num_constraints)
+            n = p.dim
             for _ in range(2000):
-                s = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=field.size)
+                s = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n + p.num_constraints)
                 r = p.A.dot(s[:n]) - p.b
                 tol = math.sqrt(r.dot(r))
                 gate0, gate1 = _feasibility_gate(p, tol)
-                euler = p._euler_map(1e-2).dot(np.append(s, 1.0))  # Heun/RK4 read the field
-                for dual in (p._field(s, field)[n:], euler[field.size :]):
+                for integrator in ("euler", "rk4"):  # Euler's map, RK4's field
+                    _, dual, first, _ = _integrator(p, integrator, 1e-2, s[:n], s[n:])
+                    first()
                     estimate = math.sqrt(dual.dot(dual))
                     assert estimate <= gate0 + gate1 * math.sqrt(s.dot(s))
                     above += estimate > tol
@@ -649,12 +648,13 @@ class TestIntegratorOrder:
     """Global error order on the 2x2 linear saddle system against expm."""
 
     @pytest.mark.parametrize(
-        "stepper,order",
-        [(euler_step, 1.0), (heun_step, 2.0), (rk4_step, 4.0)],
+        "integrator,order",
+        [("euler", 1.0), ("heun", 2.0), ("rk4", 4.0)],
+        ids=["euler_step-1.0", "heun_step-2.0", "rk4_step-4.0"],
     )
-    def test_order_slope(self, stepper, order):
-        assert abs(integrator_order_slope(stepper) - order) <= 0.4
+    def test_order_slope(self, integrator, order):
+        assert abs(integrator_order_slope(integrator) - order) <= 0.4
 
     def test_rk4_close_to_exact_flow(self):
-        err = saddle_global_error(rk4_step, 1e-2, 2.0, np.array([4.0, -3.0]))
+        err = saddle_global_error("rk4", 1e-2, 2.0, np.array([4.0, -3.0]))
         assert err <= 1e-8

@@ -31,7 +31,6 @@ class TestGraph:
 
     def test_adjacency_structure(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-        assert g.neighbors(2) == (1, 3)
         assert g.incident_edges(2) == (1, 2)
         assert g.degree(2) == 2
         assert g.num_edges == 4
@@ -62,7 +61,7 @@ class TestGraph:
 
     def test_node_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            P3.neighbors(0)
+            P3.incident_edges(0)
         with pytest.raises(ValueError, match="out of range"):
             P3.degree(4)
 

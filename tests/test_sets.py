@@ -105,6 +105,11 @@ class TestContains:
         assert prod.contains([0.0, 3.0, 1.0], tol=0.0)
         assert not prod.contains([0.0, -1e-3, 1.0], tol=1e-4)
 
+    def test_infinite_point_is_outside_without_warning(self):
+        # inf - inf in the distance would warn, and tier-1 makes that an error
+        for set_ in (FreeSpace(1), Box([0.0], [np.inf]), Product([FreeSpace(1)])):
+            assert not set_.contains([np.inf]), set_
+
 
 class TestTangentProjection:
     def test_orthant_inward_normal_absorbs(self):

@@ -37,6 +37,7 @@ from .sets import (
     SimpleSet,
 )
 from .spectral import (
+    smoothed_max_eig,
     smoothed_max_eig_grad,
     symmetrize,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "NonnegativeOrthant",
     "Product",
     "SimpleSet",
+    "smoothed_max_eig",
     "smoothed_max_eig_grad",
     "symmetrize",
     "NetworkState",

@@ -30,7 +30,7 @@ import numpy as np
 from .flow import DivergenceError, SolverConfig
 from .graphs import Graph, algebraic_connectivity, weighted_laplacian
 from .sets import NonnegativeOrthant
-from .spectral import smoothed_max_eig_grad
+from .spectral import smoothed_max_eig, smoothed_max_eig_grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +133,8 @@ def node_matrices(network: NetworkState, tables=None) -> np.ndarray:
     return X
 
 
-def _broadcast(network: NetworkState, tables=None):
-    """Phase 1 of a round: every node's smoothed value and its gradient G_i."""
+def _broadcast(network: NetworkState, tables=None) -> np.ndarray:
+    """Phase 1 of a round: every node's smoothed-eigenvalue gradient G_i."""
     X = node_matrices(network, tables)
     try:
         return smoothed_max_eig_grad(X, network.eps)
@@ -244,7 +244,7 @@ def simulate(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             while True:
-                values, G = _broadcast(network, tables)
+                G = _broadcast(network, tables)
                 fields = _fields(network, G, tables)
                 residual = _residual_from_messages(network, fields, tables)
                 done = residual <= config.tol or rounds >= config.max_steps
@@ -252,7 +252,7 @@ def simulate(
                     history.append(
                         HistoryPoint(
                             round=rounds,
-                            objective=float(values.sum()),
+                            objective=float(smoothed_max_eig(tables.X, network.eps).sum()),
                             lambda2=assembled_connectivity(network),
                             residual=residual,
                             contributions=contributions_vector(network),

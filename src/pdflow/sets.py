@@ -84,10 +84,12 @@ class Box(SimpleSet):
     """Componentwise bounds lower <= x <= upper; either bound may be infinite.
 
     A half-space like ``x_0 >= 2`` is a Box with ``upper = +inf``.  Each side
-    with a finite bound keeps one ``(clamp, bound, band)`` entry: the lower
-    side clamps with ``np.maximum``, the upper with ``np.minimum``.  An
-    infinite bound gets the band -1: ``|x - bound|`` is still computed
-    there, but no coordinate ever counts as active at it.
+    with a finite bound keeps one ``(clamp, bound, band, shifted)`` entry:
+    the lower side clamps with ``np.maximum``, the upper with
+    ``np.minimum``.  An infinite bound gets the band -1: ``|x - bound|`` is
+    still computed there, but no coordinate ever counts as active at it.
+    ``shifted`` is False for an all-zero bound, whose ``|x - 0|`` is ``|x|``
+    exactly, so the subtraction is skipped.
     """
 
     def __init__(self, lower, upper):
@@ -107,20 +109,22 @@ class Box(SimpleSet):
         self.upper.setflags(write=False)
         self.dim = lower.size
         self._sides = tuple(
-            (clamp, bound, np.where(np.isfinite(bound), ACTIVITY_RTOL * (1 + np.abs(bound)), -1.0))
+            (clamp, bound, np.where(np.isfinite(bound), ACTIVITY_RTOL * (1 + np.abs(bound)), -1.0),
+             bool(bound.any()))
             for clamp, bound in ((np.maximum, lower), (np.minimum, upper))
             if np.isfinite(bound).any()
         )
 
     def _project_in_place(self, x) -> None:
-        for clamp, bound, _ in self._sides:
+        for clamp, bound, _, _ in self._sides:
             clamp(x, bound, out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
         # at a bound, only motion out of the box is removed
         w = v
-        for clamp, bound, band in self._sides:
-            w = np.where(np.abs(x - bound) <= band, clamp(w, 0.0), w)
+        for clamp, bound, band, shifted in self._sides:
+            gap = np.abs(x - bound) if shifted else np.abs(x)
+            w = np.where(gap <= band, clamp(w, 0.0), w)
         return v.copy() if w is v else w
 
     def __repr__(self):

@@ -1,10 +1,10 @@
 """Shared test helpers: the closed-form set references, random connected
 graphs and edge matrices, a per-node reference and the finite-difference
-oracle for the distributed node fields, the smoothed maximum eigenvalue, the
-network's objective and augmented Lagrangian, one simulated round, the
-flow's Lagrangians and fields, one-step and in-place steppers, the
-tangent-quotient and Lyapunov-distance oracles, and the matrix-exponential
-oracle for integrator orders."""
+oracle for the distributed node fields, the eigendecomposition oracle for
+the smoothed-eigenvalue gradient, the network's objective and augmented
+Lagrangian, one simulated round, the flow's Lagrangians and fields, one-step
+and in-place steppers, the tangent-quotient and Lyapunov-distance oracles,
+and the matrix-exponential oracle for integrator orders."""
 
 import dataclasses
 from functools import partial
@@ -22,7 +22,7 @@ from pdflow.connectivity import (
 )
 from pdflow.flow import FlowState, Objective, ProblemSpec, SolverConfig, _integrator
 from pdflow.graphs import Graph
-from pdflow.spectral import smoothed_max_eig_grad
+from pdflow.spectral import smoothed_max_eig, smoothed_max_eig_grad, symmetrize
 from pdflow.sets import ACTIVITY_RTOL, Ball, Box, FreeSpace, NonnegativeOrthant, Product
 
 
@@ -219,7 +219,7 @@ def reference_fields(network: NetworkState):
     dz_l = -trace(S_i B_l), with S_i = sum_{j ~ i} (G_i - G_j).
     """
     graph, n = network.graph, network.graph.n
-    G = [smoothed_max_eig_grad(reference_node_matrix(network, i), network.eps)[1]
+    G = [smoothed_max_eig_grad(reference_node_matrix(network, i), network.eps)
          for i in range(1, n + 1)]
     dmu, dv = np.zeros(n), np.zeros(n)
     dW, dZ = np.zeros((n, graph.num_edges)), np.zeros((n, n, n))
@@ -239,16 +239,28 @@ def reference_fields(network: NetworkState):
     return dmu, dW, dZ, dv
 
 
+# ------------------------------------------------- eigendecomposition oracle
+
+def _raw_eigh(matrix):
+    """Ascending eigh of the symmetrized input, signs as returned by LAPACK."""
+    return np.linalg.eigh(symmetrize(matrix))
+
+
+def eigh_smoothed_grad(matrix, eps: float) -> np.ndarray:
+    """The smoothed-eigenvalue gradient from one eigendecomposition: the
+    softmax-weighted sum of the spectral projectors, symmetrized."""
+    lam, U = _raw_eigh(matrix)
+    weights = np.exp((lam - lam[..., -1:]) / eps)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    G = (U * weights[..., None, :]) @ np.swapaxes(U, -1, -2)
+    return (G + np.swapaxes(G, -1, -2)) / 2.0
+
+
 # ------------------------------------------------- network oracles
-
-def smoothed_max_eig(matrix, eps: float):
-    """The value of :func:`smoothed_max_eig_grad` alone."""
-    return smoothed_max_eig_grad(matrix, eps)[0]
-
 
 def network_fields(network: NetworkState) -> Fields:
     """Every node's unprojected field values at the current state."""
-    return _fields(network, _broadcast(network)[1])
+    return _fields(network, _broadcast(network))
 
 
 def objective_value(network: NetworkState) -> float:

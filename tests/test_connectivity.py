@@ -61,7 +61,7 @@ def k2_equilibrium(eps=1e-3):
     to exactly zero, so every field evaluates to exactly 0.0.
     """
     net = NetworkState(K2, np.full(2, 2.0), np.ones((2, 1)), np.zeros((2, 2, 2)), np.zeros(2), eps)
-    _, G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
+    G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
     v = float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1])
     return dataclasses.replace(net, v=np.full(2, v))
 
@@ -169,7 +169,7 @@ class TestNodeFields:
         net = random_network(P3, 1e-2, rng)
         Z3 = rng.normal(size=(3, 3))
         perturbed = with_node(net, 3, mu=99.0, v=-7.0, W=[0.0, 0.3], Z=Z3 + Z3.T)
-        (_, G), (_, G_p) = _broadcast(net), _broadcast(perturbed)
+        G, G_p = _broadcast(net), _broadcast(perturbed)
         assert np.array_equal(node_matrices(net)[0], node_matrices(perturbed)[0])
         assert np.array_equal(G[0], G_p[0])
         before, after = network_fields(net), network_fields(perturbed)
@@ -482,6 +482,6 @@ class TestNetworkStateValidation:
     def test_message_gradient_has_unit_trace(self):
         rng = np.random.default_rng(61)
         net = random_network(P3, 1e-2, rng)
-        _, G = _broadcast(net)
+        G = _broadcast(net)
         assert G.shape == (3, 3, 3)
         assert np.abs(np.trace(G, axis1=1, axis2=2) - 1.0).max() <= 1e-10

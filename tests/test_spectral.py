@@ -1,15 +1,16 @@
 """Smoothed maximum eigenvalue: sandwich bound, gradient structure,
-finite-difference consistency and the non-strict-convexity witness."""
+finite-difference consistency, the non-strict-convexity witness, and the
+scaled-and-squared gradient against the eigendecomposition and scipy's
+matrix exponential."""
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from conftest import smoothed_max_eig
-from pdflow.spectral import (
-    _raw_eigh,
-    smoothed_max_eig_grad,
-    symmetrize,
-)
+from conftest import _raw_eigh, eigh_smoothed_grad, smoothed_max_eig
+from pdflow.spectral import smoothed_max_eig_grad, symmetrize
 
 
 def random_symmetric(rng, n, scale=5.0):
@@ -32,8 +33,8 @@ class TestSymmetrize:
 
 
 class TestEigendecomposition:
-    """The ascending eigh under the smoothing: its last eigenvalue is the
-    shift of every log-sum-exp, for one matrix and for a stack."""
+    """The ascending eigh under the gradient oracle (conftest), for one
+    matrix and for a stack."""
 
     def test_identity(self):
         lam, _ = _raw_eigh(np.eye(3))
@@ -107,7 +108,7 @@ class TestSmoothedMaxEig:
             c = float(rng.uniform(-10, 10))
             eps = 0.1
             assert abs(smoothed_max_eig(X + c * np.eye(6), eps) - smoothed_max_eig(X, eps) - c) <= 1e-10
-            dG = smoothed_max_eig_grad(X + c * np.eye(6), eps)[1] - smoothed_max_eig_grad(X, eps)[1]
+            dG = smoothed_max_eig_grad(X + c * np.eye(6), eps) - smoothed_max_eig_grad(X, eps)
             assert np.abs(dG).max() <= 1e-9
 
     def test_convexity_spot_check(self):
@@ -133,11 +134,11 @@ class TestSmoothedMaxEig:
 
 class TestSmoothedMaxEigGrad:
     def test_zero_matrix_uniform(self):
-        _, got = smoothed_max_eig_grad(np.zeros((5, 5)), 0.7)
+        got = smoothed_max_eig_grad(np.zeros((5, 5)), 0.7)
         assert np.abs(got - np.eye(5) / 5.0).max() <= 1e-12
 
     def test_underflow_flushes_cleanly(self):
-        _, got = smoothed_max_eig_grad(np.diag([10.0, 0.0]), 1e-3)
+        got = smoothed_max_eig_grad(np.diag([10.0, 0.0]), 1e-3)
         assert np.abs(got - np.diag([1.0, 0.0])).max() <= 1e-12
 
     def test_structure_on_random_matrices(self):
@@ -146,7 +147,7 @@ class TestSmoothedMaxEigGrad:
             n = rng.integers(2, 9)
             X = random_symmetric(rng, n)
             eps = float(rng.choice([1.0, 0.1, 0.01]))
-            _, G = smoothed_max_eig_grad(X, eps)
+            G = smoothed_max_eig_grad(X, eps)
             assert np.array_equal(G, G.T)
             assert abs(np.trace(G) - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(G)[0] >= -1e-10
@@ -159,7 +160,7 @@ class TestSmoothedMaxEigGrad:
             X = random_symmetric(rng, n)
             D = random_symmetric(rng, n, scale=1.0)
             eps = float(rng.uniform(0.2, 1.0))
-            _, G = smoothed_max_eig_grad(X, eps)
+            G = smoothed_max_eig_grad(X, eps)
             analytic = float(np.trace(G @ D))
             fd = (smoothed_max_eig(X + h * D, eps) - smoothed_max_eig(X - h * D, eps)) / (2 * h)
             assert abs(analytic - fd) <= 1e-5 * (1.0 + abs(analytic))
@@ -175,7 +176,7 @@ class TestSmoothedMaxEigGrad:
         w = w / w.sum()
         expected = sum(w[i] * np.outer(U[:, i], U[:, i]) for i in range(5))
         flipped = sum(w[i] * np.outer(-U[:, i], -U[:, i]) for i in range(5))
-        _, G = smoothed_max_eig_grad(X, eps)
+        G = smoothed_max_eig_grad(X, eps)
         assert np.abs(G - expected).max() <= 1e-12
         assert np.abs(G - flipped).max() <= 1e-12
 
@@ -185,23 +186,115 @@ class TestSmoothedMaxEigGrad:
         rng = np.random.default_rng(29)
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         X = Q @ np.diag([5.0, 5.0, -20.0, -21.0, -22.0]) @ Q.T
-        _, G = smoothed_max_eig_grad(X, 0.05)
+        G = smoothed_max_eig_grad(X, 0.05)
         P_top = Q[:, :2] @ Q[:, :2].T
         assert np.abs(G - P_top / 2.0).max() <= 1e-8
 
 
 class TestStacks:
     def test_stack_matches_single_matrices(self):
-        # a stack is one batched eigh; each slice equals the single-matrix call
+        # each slice of a stack equals the single-matrix call
         rng = np.random.default_rng(30)
         X = np.stack([random_symmetric(rng, 4) for _ in range(5)])
-        values, G = smoothed_max_eig_grad(X, 0.3)
+        G, values = smoothed_max_eig_grad(X, 0.3), smoothed_max_eig(X, 0.3)
         assert G.shape == (5, 4, 4) and values.shape == (5,)
         assert np.array_equal(smoothed_max_eig(X, 0.3), values)
         for i in range(5):
-            assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.3)[1])
+            assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.3))
             assert values[i] == smoothed_max_eig(X[i], 0.3)
+
+    def test_mixed_scales_match_single_matrices(self):
+        # each matrix picks its own scaling, squaring count and renormalization
+        rng = np.random.default_rng(31)
+        X = np.stack(
+            [
+                random_symmetric(rng, 6),
+                np.zeros((6, 6)),
+                1e300 * random_symmetric(rng, 6, scale=1.0),
+                random_symmetric(rng, 6, scale=100.0),  # renormalized at eps 0.01
+            ]
+        )
+        G = smoothed_max_eig_grad(X, 0.01)
+        for i in range(len(X)):
+            assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.01))
 
     def test_symmetrize_stack(self):
         X = np.array([[[1.0, 2.0], [0.0, 3.0]], [[0.0, 4.0], [2.0, 0.0]]])
         assert np.array_equal(symmetrize(X)[1], np.array([[0.0, 3.0], [3.0, 0.0]]))
+
+
+def assert_gradient_structure(G):
+    """Finite, exactly symmetric, unit trace."""
+    assert np.isfinite(G).all()
+    assert np.array_equal(G, np.swapaxes(G, -1, -2))
+    assert np.abs(np.trace(G, axis1=-2, axis2=-1) - 1.0).max() <= 1e-13
+
+
+class TestScaledAndSquaredGradient:
+    """The gradient exp(X/eps) / tr exp(X/eps) is evaluated by scaling and
+    squaring; the eigendecomposition and scipy's expm are its oracles."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 40])
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 1e-3])
+    def test_matches_oracles(self, n, eps):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            X = random_symmetric(rng, n, scale=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                G = smoothed_max_eig_grad(X, eps)
+            assert_gradient_structure(G)
+            assert np.abs(G - eigh_smoothed_grad(X, eps)).max() <= 1e-12
+            if np.abs(X).sum(axis=0).max() / eps < 700.0:  # exp(X/eps) is representable
+                E = expm(X / eps)
+                assert np.abs(G - E / np.trace(E)).max() <= 1e-12
+
+    def test_entries_near_float_limit(self):
+        rng = np.random.default_rng(33)
+        for scale in (1e300, 1.7e308):
+            X = scale * random_symmetric(rng, 5, scale=1.0)
+            for eps in (1.0, 1e-3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    G = smoothed_max_eig_grad(X, eps)
+                assert_gradient_structure(G)
+                if scale == 1e300:  # the oracle's eigh overflows at the float limit
+                    assert np.abs(G - eigh_smoothed_grad(X, eps)).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "X, eps",
+        [
+            (np.zeros((3, 3)), 5e-324),
+            (np.full((3, 3), 1e-310), 1e-300),
+            (np.array([[1e308, 1e-10], [1e-10, 1e308]]), 1e-300),
+            (np.array([[0.0, 1e308], [-1e308, 0.0]]), 1e-3),  # symmetric part zero
+            (np.eye(4), 1e308),
+            (np.ones((1, 1)), 0.1),
+        ],
+    )
+    def test_extreme_inputs_stay_finite(self, X, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = smoothed_max_eig_grad(X, eps)
+        assert_gradient_structure(G)
+
+    def test_empty_stack(self):
+        assert smoothed_max_eig_grad(np.zeros((0, 3, 3)), 0.1).shape == (0, 3, 3)
+
+    def test_calls_no_eigendecomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition called")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(34)
+        X = np.stack([random_symmetric(rng, 10) for _ in range(3)])
+        assert_gradient_structure(smoothed_max_eig_grad(X, 0.05))
+
+    def test_rejects_non_finite_and_nonpositive_eps(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                smoothed_max_eig_grad(np.array([[0.0, bad], [bad, 1.0]]), 0.1)
+        for eps in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                smoothed_max_eig_grad(np.eye(2), eps)

@@ -14,7 +14,6 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # Stale already, so their spans read 0: ROADMAP item 1 re-points or drops them.
 STALE = {
-    ("spectral", "smoothed_max_eig"),
     ("connectivity", "_apply_round"),
     ("connectivity", "objective_value"),
 }

@@ -104,7 +104,7 @@ def _require_finite(*per_node) -> None:
 
 
 def _tables(graph: Graph) -> SimpleNamespace:
-    """The graph-only data a round needs, and its X buffer; built once per run."""
+    """The graph-only data a round needs, and its buffers; built once per run."""
     n, B = graph.n, graph.incidence
     node, edge = np.nonzero(B)
     a, b = graph.heads[edge], graph.tails[edge]
@@ -118,6 +118,9 @@ def _tables(graph: Graph) -> SimpleNamespace:
         dz_coef=0.5 * np.eye(n) - 1.0,  # dZ = dz_coef * (S + S^T)
         triu=np.flatnonzero(np.triu(np.ones((n, n)))),  # flat upper-triangle indices
         X=np.empty((n, n, n)),  # overwritten by every node_matrices call
+        # the gradient's working stacks, G returned in the first; _fields
+        # then writes L G and dZ into the other two
+        scratch=np.empty((3, n, n, n)),
     )
 
 
@@ -134,27 +137,33 @@ def node_matrices(network: NetworkState, tables=None) -> np.ndarray:
 
 
 def _broadcast(network: NetworkState, tables=None) -> np.ndarray:
-    """Phase 1 of a round: every node's smoothed-eigenvalue gradient G_i."""
-    X = node_matrices(network, tables)
+    """Phase 1 of a round: every node's smoothed-eigenvalue gradient G_i,
+    in the first of the tables' scratch stacks."""
+    t = tables or _tables(network.graph)
+    X = node_matrices(network, t)
     try:
-        return smoothed_max_eig_grad(X, network.eps)
+        return smoothed_max_eig_grad(X, network.eps, t.scratch)
     except ValueError:  # symmetrize found a non-finite entry: name its node
         _require_finite(X)
         raise
 
 
 def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
-    """Phase 2: each node's fields from its own and its neighbors' G."""
+    """Phase 2: each node's fields from its own and its neighbors' G.
+
+    ``G`` may be the first of the tables' scratch stacks; ``dZ`` is the third.
+    """
     graph, t = network.graph, tables or _tables(network.graph)
     n, a, b = graph.n, graph.heads, graph.tails
     g = network.budget_violation()
     flat = G.reshape(n, n * n)
     pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
     dW = np.where(t.mask, pairing - network.v[:, None] - g[:, None], 0.0)
-    S = (graph.laplacian @ flat).reshape(n, n, n)
+    _, S, dZ = t.scratch
+    np.matmul(graph.laplacian, flat, out=S.reshape(n, n * n))
     # trace(S B_pq) for the symmetric basis matrix B_pq, from S + S^T, which
     # keeps every Z_i exactly symmetric whatever order BLAS sums in
-    dZ = S + np.swapaxes(S, 1, 2)
+    np.add(S, np.swapaxes(S, 1, 2), out=dZ)
     dZ *= t.dz_coef
     return Fields(dmu=flat.sum(axis=1), dW=dW, dZ=dZ, dv=g)
 

@@ -345,8 +345,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     evaluated in full, with ``kkt_residual``'s arithmetic, only on recorded
     steps or once the step's own ``A x - b`` admits feasibility within
     ``tol`` (before, the sum exceeds it).  The :class:`DivergenceError`
-    names the step, the first non-finite coordinate and the last finite
-    residual, if any, with its step.
+    names the step, the first infinite coordinate (else the first NaN) and
+    the last finite residual, if any, with its step.
     """
     n, m = problem.dim, problem.num_constraints
     v0 = np.asarray(init.v, dtype=float)
@@ -388,7 +388,9 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
             steps += 1
             ss = s.dot(s)  # may overflow while s stays finite
             if not math.isfinite(ss) and not np.isfinite(s).all():
-                i = int(np.argmin(np.isfinite(s)))
+                # an infinite coordinate diverged; a NaN may be its bystander
+                inf = np.isinf(s)
+                i = int(np.argmax(inf)) if inf.any() else int(np.argmax(np.isnan(s)))
                 at = f"x[{i}]" if i < n else f"v[{i - n}]"
                 last = "no finite residual" if finite is None else (
                     f"last finite residual {finite[0]:.1e} at step {finite[1]}"

@@ -73,17 +73,30 @@ def smoothed_max_eig(matrix, eps: float):
     defensively) at the positive temperature ``eps``.
 
     The value lies in ``[lambda_max, lambda_max + eps*log(N)]``: a float for
-    one matrix, an array of shape ``(...)`` for a stack.
+    one matrix, an array of shape ``(...)`` for a stack.  It is +inf where
+    it exceeds the largest double, and finite everywhere else.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    lam = np.linalg.eigvalsh(symmetrize(matrix))
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
+    X = symmetrize(matrix)
+    # the spectrum of X / 2^e and eps / 2^e, both below 2^SAFE_EXPONENT, has
+    # a finite spread and value; scaling by 2^0 changes nothing, so skip it
+    size = np.maximum(np.abs(X).max(axis=(-2, -1)), eps)
+    e = np.maximum(np.frexp(size)[1] - SAFE_EXPONENT, 0)
+    lam = np.linalg.eigvalsh(X * np.exp2(-e)[..., None, None] if e.any() else X)
     top = lam[..., -1]
-    value = top + eps * np.log(np.exp((lam - top[..., None]) / eps).sum(axis=-1))
+    # an exponent that overflows to -inf weighs exp(-inf) = 0, and a value
+    # past the largest double is +inf
+    with np.errstate(over="ignore"):
+        ratio = np.ldexp(lam - top[..., None], e[..., None]) / eps
+        smoothing = np.log(np.exp(ratio).sum(axis=-1))
+        value = np.ldexp(top, e) + eps * smoothing
+        # eps * smoothing alone may overflow: then add it at the lower scale
+        value = np.where(value < np.inf, value, np.ldexp(top + np.ldexp(eps, -e) * smoothing, e))
     return float(value) if value.ndim == 0 else value
 
 
-def smoothed_max_eig_grad(matrix, eps: float) -> np.ndarray:
+def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
     """Gradient of :func:`smoothed_max_eig` with respect to the matrix,
     ``exp(X/eps) / tr exp(X/eps)``, without an eigendecomposition.
 
@@ -91,13 +104,18 @@ def smoothed_max_eig_grad(matrix, eps: float) -> np.ndarray:
     ``eps`` is the positive smoothing temperature.  Returns a symmetric PSD
     matrix of unit trace, one per matrix of a stack.  Every finite input
     gives a finite gradient; a non-finite one raises ``ValueError``.
+
+    ``scratch``, if given, is three C-contiguous float arrays of the
+    input's shape (an array of shape ``(3,) + shape`` will do) that the
+    evaluation works in; the gradient is then returned in the first, and
+    the other two are left as garbage.  Without it they are allocated.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
     X = _square(matrix)
     if X.size == 0:  # an empty stack, or 0 x 0 matrices
         return np.zeros(X.shape)
-    S, P, T = np.empty(X.shape), np.empty(X.shape), np.empty(X.shape)
+    S, P, T = np.empty((3,) + X.shape) if scratch is None else scratch
     top = np.abs(X, out=S).max(axis=(-2, -1))
     if not np.isfinite(top).all():
         raise ValueError("matrix contains non-finite entries")

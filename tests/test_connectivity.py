@@ -3,6 +3,7 @@ against a per-node reference and finite differences, locality, synchronous
 rounds and small end-to-end runs."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from pdflow.connectivity import (
 )
 from pdflow.flow import SolverConfig
 from pdflow.graphs import Graph
-from pdflow.presets import EXAMPLE4_DT, EXAMPLE4_EPS, example4_graph
+from pdflow.presets import EXAMPLE4_DT, EXAMPLE4_EPS, EXAMPLE4_TOL, example4_graph
 from pdflow.spectral import smoothed_max_eig_grad
 
 P3 = Graph(3, [(1, 2), (2, 3)])
@@ -64,6 +65,15 @@ def k2_equilibrium(eps=1e-3):
     G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
     v = float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1])
     return dataclasses.replace(net, v=np.full(2, v))
+
+
+def ring_with_chords(n, chords, rng):
+    """The ring 1..n plus ``chords`` distinct random chords."""
+    edges = {(i, i % n + 1) if i < n else (1, n) for i in range(1, n + 1)}
+    while len(edges) < n + chords:
+        i, j = sorted(int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+        edges.add((i, j))
+    return Graph(n, sorted(edges))
 
 
 def assert_same_state(a, b):
@@ -416,6 +426,53 @@ class TestSimulate:
                 )
             for name in ("mu", "W", "Z", "v"):
                 assert np.abs(getattr(after, name) - getattr(net, name)).max() <= 1e-12, name
+
+    def test_rounds_match_a_loop_with_fresh_stacks(self):
+        # simulate reuses one set of scratch stacks for G, L G and dZ in every
+        # round; network_fields builds new ones for G and again for the
+        # fields, so no stack it reads can have been overwritten
+        rng = np.random.default_rng(67)
+        graph = ring_with_chords(36, 18, rng)
+        net = random_network(graph, EXAMPLE4_EPS, rng)
+        dt, rounds = EXAMPLE4_DT, 5
+        after, _ = simulate(graph, net.eps, SolverConfig(dt=dt, max_steps=rounds, tol=1e-30), init=net)
+        for _ in range(rounds):
+            dmu, dW, dZ, dv = network_fields(net)
+            net = NetworkState(
+                graph, net.mu + dt * dmu, np.maximum(0.0, net.W + dt * dW),
+                net.Z + dt * dZ, net.v + dt * dv, net.eps,
+            )
+        assert_same_state(after, net)
+
+    def test_round_allocates_no_stack(self, monkeypatch):
+        # the gradient and the fields write into the run's scratch stacks: a
+        # round's transient allocations (the peak over the round less the
+        # memory held at its start) stay well below two N x N x N stacks
+        n, rng = 40, np.random.default_rng(11)
+        graph = ring_with_chords(n, 20, rng)
+        broadcast, start, transients = connectivity._broadcast, [], []
+
+        def measured(network, tables):
+            current, peak = tracemalloc.get_traced_memory()
+            if start:
+                transients.append(peak - start[-1])
+            tracemalloc.reset_peak()
+            start.append(current)
+            return broadcast(network, tables)
+
+        monkeypatch.setattr(connectivity, "_broadcast", measured)
+        config = SolverConfig(dt=EXAMPLE4_DT, max_steps=6, tol=EXAMPLE4_TOL, record_stride=100)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            simulate(graph, EXAMPLE4_EPS, config)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # round 0 also records a history row
+        assert len(transients) == 6
+        assert max(transients[1:]) < 1.5 * n**3 * 8
 
     def test_init_left_unchanged(self):
         # simulate advances its own copy: init keeps its values and stays

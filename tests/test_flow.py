@@ -56,6 +56,17 @@ def quadratic_free_problem(q=1.0, a=1.0, b0=1.0, rho=1.0):
     )
 
 
+def third_coordinate_problem():
+    """min x_2^2 / 2 over the free space, with one all-zero constraint row:
+    only x[2] moves, and 0 * inf in the constraint row spreads NaNs."""
+    return ProblemSpec(
+        objective=Objective.quadratic(np.diag([0.0, 0.0, 1.0]), np.zeros(3)),
+        A=np.zeros((1, 3)),
+        b=np.zeros(1),
+        set=FreeSpace(3),
+    )
+
+
 def softplus_problem():
     """min sum_i log(1 + e^x_i) s.t. x_1 + x_2 + x_3 = 1 over [-2, 2]^2 x [0.5, 2].
 
@@ -542,18 +553,12 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "problem",
-        [
-            quadratic_free_problem(q=1.0, a=1.0),
-            ProblemSpec(  # only x[2] moves
-                objective=Objective.quadratic(np.diag([0.0, 0.0, 1.0]), np.zeros(3)),
-                A=np.zeros((1, 3)),
-                b=np.zeros(1),
-                set=FreeSpace(3),
-            ),
-        ],
+        [quadratic_free_problem(q=1.0, a=1.0), third_coordinate_problem()],
         ids=["coupled", "third-coordinate"],
     )
     def test_divergence_error_names_first_non_finite_coordinate(self, problem):
+        # the first infinite coordinate of the one-step reference, else its
+        # first NaN
         n = problem.dim
         init = FlowState(x=np.ones(n), v=np.zeros(1))
         for integrator, stepper in STEPPERS.items():
@@ -565,9 +570,22 @@ class TestSolve:
                 while np.isfinite(s).all():
                     state = stepper(problem, FlowState(x=s[:n], v=s[n:]), cfg.dt)
                     s, steps = np.concatenate([state.x, state.v]), steps + 1
-            i = int(np.flatnonzero(~np.isfinite(s))[0])
+            inf = np.flatnonzero(np.isinf(s))
+            i = int(inf[0]) if inf.size else int(np.flatnonzero(np.isnan(s))[0])
             at = f"x[{i}]" if i < n else f"v[{i - n}]"
             assert f"non-finite iterate at step {steps}; {at} = {s[i]};" in str(err.value)
+
+    def test_divergence_error_names_the_infinity_not_a_nan_bystander(self):
+        # x[2] overflows; by the step Heun and RK4 stop at, 0 * inf has already
+        # made v, x[0] and x[1] NaN, yet every integrator names x[2]
+        init = FlowState(x=np.ones(3), v=np.zeros(1))
+        for integrator, step in (("euler", 52), ("heun", 27), ("rk4", 14)):
+            cfg = SolverConfig(dt=1e6, max_steps=10_000, tol=1e-12, integrator=integrator)
+            with pytest.raises(DivergenceError) as err:
+                solve(third_coordinate_problem(), cfg, init)
+            assert str(err.value).startswith(
+                f"non-finite iterate at step {step}; x[2] = inf;"
+            ), integrator
 
     @pytest.mark.parametrize("integrator", list(STEPPERS))
     def test_callable_objective_matches_stepper_and_optimum(self, integrator):

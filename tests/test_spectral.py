@@ -91,6 +91,39 @@ class TestSmoothedMaxEig:
         with pytest.raises(ValueError):
             smoothed_max_eig(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize(
+        "X, eps, expected",
+        [
+            (np.diag([1.0, 0.0]), 1e-310, 1.0),  # spread / eps overflows to -inf
+            # lambda_max = 1.97e308 is past the largest double
+            (
+                np.array([[1.7e308, 1e308, 0.0], [1e308, -1.7e308, 0.0], [0.0, 0.0, -1.7e308]]),
+                1e-3,
+                np.inf,
+            ),
+            (np.diag([0.0, 0.0, -1e308]), 1e-300, 1e-300 * np.log(2.0)),
+            # eps * log(4) overflows, but the value is below the largest double
+            (np.diag([-1.7e308] * 4), 1.7e308, 1.7e308 * (np.log(4.0) - 1.0)),
+        ],
+        ids=["tiny-eps", "lambda-max-overflows", "eps-below-scale", "huge-eps"],
+    )
+    def test_extreme_inputs_are_silent_and_never_nan(self, X, eps, expected):
+        # finite wherever the value is representable, +inf where it is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smoothed_max_eig(X, eps)
+        assert got == expected or abs(got - expected) <= 1e-15 * abs(expected)
+
+    def test_scaled_stack_matches_single_matrices(self):
+        # matrices scaled down by a power of two sit next to unscaled ones
+        rng = np.random.default_rng(35)
+        X = np.stack([1e300 * random_symmetric(rng, 4, 1.0), random_symmetric(rng, 4)])
+        values = smoothed_max_eig(X, 1e-2)
+        for i in range(len(X)):
+            assert values[i] == smoothed_max_eig(X[i], 1e-2)
+        lam_max = np.linalg.eigvalsh(X[0])[-1]
+        assert lam_max * (1.0 - 1e-15) <= values[0] <= lam_max * (1.0 + 1e-15)
+
     def test_sandwich_bound(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
@@ -217,6 +250,36 @@ class TestStacks:
         G = smoothed_max_eig_grad(X, 0.01)
         for i in range(len(X)):
             assert np.array_equal(G[i], smoothed_max_eig_grad(X[i], 0.01))
+
+    @pytest.mark.parametrize(
+        "X, eps",
+        [
+            (random_symmetric(np.random.default_rng(36), 6), 0.1),
+            # squaring counts differ: none for the zero matrix, several for the first
+            (
+                np.stack(
+                    [
+                        random_symmetric(np.random.default_rng(37), 5),
+                        np.zeros((5, 5)),
+                        random_symmetric(np.random.default_rng(38), 5, scale=0.01),
+                    ]
+                ),
+                0.01,
+            ),
+            # ||X / eps|| > 512: renormalized between squarings
+            (np.stack([random_symmetric(np.random.default_rng(39), 6, scale=100.0)] * 2), 0.01),
+        ],
+        ids=["single", "mixed-squarings", "renormalized"],
+    )
+    def test_scratch_gives_the_allocated_gradient(self, X, eps):
+        # whatever the stacks held before, the gradient comes back in the first
+        expected = smoothed_max_eig_grad(X, eps)
+        scratch = np.full((3,) + X.shape, np.nan)
+        for _ in range(2):
+            G = smoothed_max_eig_grad(X, eps, scratch)
+            assert np.shares_memory(G, scratch[0])
+            assert np.array_equal(G, expected)
+            scratch[1:] = np.inf
 
     def test_symmetrize_stack(self):
         X = np.array([[[1.0, 2.0], [0.0, 3.0]], [[0.0, 4.0], [2.0, 0.0]]])

@@ -110,6 +110,7 @@ def _tables(graph: Graph) -> SimpleNamespace:
     a, b = graph.heads[edge], graph.tails[edge]
     return SimpleNamespace(
         orthant=NonnegativeOrthant(B.size),  # the flat W's set
+        dW=np.empty(B.size),  # the residual's projected copy of the flat dW
         mask=B != 0.0,  # the contributions a node owns
         w_at=node * graph.num_edges + edge,  # flat W index of each owned w_ik
         # flat X indices of its entries (i, a_k, b_k) and (i, b_k, a_k)
@@ -173,8 +174,11 @@ def _residual_from_messages(network: NetworkState, fields: Fields, tables) -> fl
     projected primal fields (mu, w and the upper-triangle z coefficients of
     every node); zero exactly at equilibria of the dynamics.  ``tables`` is
     the run's :func:`_tables`."""
-    # tangent cone of the orthant: a contribution on the bound may not decrease
-    dW = tables.orthant._tangent(network.W.reshape(-1), fields.dW.reshape(-1))
+    # tangent cone of the orthant: a contribution on the bound may not
+    # decrease; projected in a copy, since the update moves along the raw dW
+    dW = tables.dW
+    np.copyto(dW, fields.dW.reshape(-1))
+    tables.orthant._tangent(network.W.reshape(-1), dW)
     dz = fields.dZ.reshape(len(fields.dZ), -1)[:, tables.triu]
     sq = fields.dmu @ fields.dmu + (dW * dW).sum() + (dz * dz).sum()
     return float(np.abs(fields.dv).sum() + math.sqrt(sq))

@@ -14,6 +14,8 @@ these simple pieces.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # A coordinate counts as sitting on a bound when |x_i - bound| is within this
@@ -56,10 +58,11 @@ class SimpleSet:
         x = _as_vector(x, self.dim)
         v = _as_vector(v, self.dim)
         self._require_member(x)
-        return self._tangent(x, v)
+        return self._tangent(x, v.copy())
 
     def _tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Closed-form tangent-cone projection without membership checks.
+        """Overwrite ``v`` with its tangent-cone projection at ``x`` and
+        return it; closed form, without membership checks.
 
         The solver calls this on iterates that are feasible by construction.
         """
@@ -121,11 +124,10 @@ class Box(SimpleSet):
 
     def _tangent(self, x, v) -> np.ndarray:
         # at a bound, only motion out of the box is removed
-        w = v
         for clamp, bound, band, shifted in self._sides:
             gap = np.abs(x - bound) if shifted else np.abs(x)
-            w = np.where(gap <= band, clamp(w, 0.0), w)
-        return v.copy() if w is v else w
+            clamp(v, 0.0, out=v, where=gap <= band)
+        return v
 
     def __repr__(self):
         return f"Box({self.lower!r}, {self.upper!r})"
@@ -165,32 +167,47 @@ class Ball(SimpleSet):
         if not np.isfinite(center).all():
             raise ValueError("center must be finite")
         radius = float(radius)
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not (radius > 0 and math.isfinite(radius)):
+            raise ValueError("radius must be positive and finite")
         self.center = center
         self.center.setflags(write=False)
         self.radius = radius
         self.dim = center.size
 
-    def _project_in_place(self, x) -> None:
+    def _offset(self, x) -> tuple:
+        """``(d, r, scale)``: ``d = (x - center) * scale`` and ``r = ||d||``.
+
+        ``scale`` is 1, and ``r`` is ``np.linalg.norm``'s ``sqrt(d.d)``,
+        unless ``d.d`` overflows for a finite ``d``; then ``d`` is scaled by
+        the power of two that brings ``max |d_i|`` into [0.5, 1), so that
+        ``d / r`` is still the direction.  ``np.vdot``, unlike ``ndarray.dot``
+        and ``norm``, does not warn on the overflow; its bits are the same.
+        """
         d = x - self.center
-        r = float(np.linalg.norm(d))
+        r = math.sqrt(np.vdot(d, d))
+        if r != math.inf or not np.isfinite(d).all():
+            return d, r, 1.0
+        scale = math.ldexp(1.0, -math.frexp(float(np.abs(d).max()))[1])
+        d *= scale
+        return d, math.sqrt(np.vdot(d, d)), scale
+
+    def _project_in_place(self, x) -> None:
+        d, r, scale = self._offset(x)
         # the roundoff shell counts as inside so that projecting twice is
         # exactly idempotent (radial rescaling is only ulp-accurate)
-        if r > self.radius * (1.0 + 1e-14):
+        if r > self.radius * (1.0 + 1e-14) * scale:
             np.add(self.center, d * (self.radius / r), out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
-        d = x - self.center
-        r = float(np.linalg.norm(d))
-        if r == 0.0 or r < self.radius - ACTIVITY_RTOL * (1.0 + self.radius):
-            return v.copy()
+        d, r, scale = self._offset(x)
+        if r == 0.0 or r < (self.radius - ACTIVITY_RTOL * (1.0 + self.radius)) * scale:
+            return v
         # boundary: drop the positive part of the outward-radial component
-        u = d / r
-        outward = float(v @ u)
-        if outward <= 0.0:
-            return v.copy()
-        return v - outward * u
+        d /= r
+        outward = float(v @ d)
+        if outward > 0.0:
+            v -= outward * d
+        return v
 
     def __repr__(self):
         return f"Ball(center={self.center!r}, radius={self.radius})"
@@ -218,9 +235,9 @@ class Product(SimpleSet):
             c._project_in_place(x[s])
 
     def _tangent(self, x, v) -> np.ndarray:
-        return np.concatenate(
-            [c._tangent(x[s], v[s]) for c, s in zip(self.components, self._slices)]
-        )
+        for c, s in zip(self.components, self._slices):
+            c._tangent(x[s], v[s])
+        return v
 
     def __repr__(self):
         return f"Product({list(self.components)!r})"

@@ -3,8 +3,9 @@ graphs and edge matrices, a per-node reference and the finite-difference
 oracle for the distributed node fields, the eigendecomposition oracle for
 the smoothed-eigenvalue gradient, the network's objective and augmented
 Lagrangian, one simulated round, the flow's Lagrangians and fields, one-step
-and in-place steppers, the tangent-quotient and Lyapunov-distance oracles,
-and the matrix-exponential oracle for integrator orders."""
+and in-place steppers, a plain-numpy Heun/RK4 reference, the tangent-quotient
+and Lyapunov-distance oracles, and the matrix-exponential oracle for
+integrator orders."""
 
 import dataclasses
 from functools import partial
@@ -96,10 +97,21 @@ def strictly_interior(set_, x, margin=1e-6) -> bool:
     raise TypeError(set_)
 
 
-# The orthant, box and free-space closed forms as separate code: the
-# references the merged Box implementation must match bit for bit.
+# The closed forms as separate, out-of-place code: the references the
+# merged, in-place Box, Ball and Product implementations must match bit for
+# bit.
 
 def reference_project(set_, x) -> np.ndarray:
+    if isinstance(set_, Product):
+        return np.concatenate(
+            [reference_project(c, x[s]) for c, s in zip(set_.components, set_._slices)]
+        )
+    if isinstance(set_, Ball):
+        d = x - set_.center
+        r = float(np.linalg.norm(d))
+        if r > set_.radius * (1.0 + 1e-14):
+            return set_.center + d * (set_.radius / r)
+        return np.array(x, dtype=float)
     if isinstance(set_, FreeSpace):
         return np.array(x, dtype=float)
     if isinstance(set_, NonnegativeOrthant):
@@ -108,6 +120,18 @@ def reference_project(set_, x) -> np.ndarray:
 
 
 def reference_tangent(set_, x, v) -> np.ndarray:
+    if isinstance(set_, Product):
+        return np.concatenate(
+            [reference_tangent(c, x[s], v[s]) for c, s in zip(set_.components, set_._slices)]
+        )
+    if isinstance(set_, Ball):
+        d = x - set_.center
+        r = float(np.linalg.norm(d))
+        if r == 0.0 or r < set_.radius - ACTIVITY_RTOL * (1.0 + set_.radius):
+            return v.copy()
+        u = d / r
+        outward = float(v @ u)
+        return v.copy() if outward <= 0.0 else v - outward * u
     if isinstance(set_, FreeSpace):
         return v.copy()
     if isinstance(set_, NonnegativeOrthant):
@@ -380,6 +404,35 @@ euler_step = partial(one_step, integrator="euler")
 heun_step = partial(one_step, integrator="heun")
 rk4_step = partial(one_step, integrator="rk4")
 STEPPERS = {"euler": euler_step, "heun": heun_step, "rk4": rk4_step}
+
+
+def reference_steps(problem: ProblemSpec, integrator: str, dt: float, state: FlowState, steps: int):
+    """``[x; v]`` after ``steps`` Heun or RK4 steps from ``state``, in plain
+    numpy: ``K.dot``, :func:`reference_tangent` and out-of-place moves, for
+    an objective folded into the kernel."""
+    (K, g0), n, set_ = problem._kernel, problem.dim, problem.set
+
+    def stage(point):
+        out = K.dot(point) + g0
+        out[:n] = reference_tangent(set_, point[:n], out[:n])
+        return out
+
+    def move(k, h):
+        out = s + h * k
+        out[:n] = reference_project(set_, out[:n])
+        return out
+
+    s = np.concatenate([state.x, state.v])
+    for _ in range(steps):
+        k1 = stage(s)
+        if integrator == "heun":
+            s = move(k1 + stage(move(k1, dt)), dt / 2.0)
+        else:
+            k2 = stage(move(k1, dt / 2.0))
+            k3 = stage(move(k2, dt / 2.0))
+            k4 = stage(move(k3, dt))
+            s = move(k1 + 2.0 * k2 + 2.0 * k3 + k4, dt / 6.0)
+    return s
 
 
 def stepping(problem: ProblemSpec, integrator: str, dt: float, state: FlowState):

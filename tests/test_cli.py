@@ -201,6 +201,15 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_infinite_ball_radius_is_input_error(self, tmp_path, capsys):
+        # json reads Infinity, which json.dumps writes for inf
+        ball = {"type": "ball", "center": [0.0, 0.0], "radius": float("inf")}
+        path = write_problem(tmp_path, dict(EXAMPLE1_DOC, set=ball))
+        assert "Infinity" in path.read_text()
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "radius must be positive and finite" in err and "Traceback" not in err
+
     def test_zero_dimensional_set_is_input_error(self, tmp_path, capsys):
         doc = {"objective": {"type": "linear", "c": []}, "set": {"type": "free", "dim": 0}}
         path = write_problem(tmp_path, doc)

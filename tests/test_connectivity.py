@@ -167,6 +167,15 @@ class TestNodeFields:
         )
         assert residual == pytest.approx(expected, rel=1e-15)
 
+    def test_residual_leaves_the_raw_weight_field(self):
+        # the update moves along the raw dW; the residual projects a copy
+        net = with_node(zero_network(K2, eps=0.5), 1, v=10.0)
+        tables = connectivity._tables(K2)
+        fields = connectivity._fields(net, _broadcast(net, tables), tables)
+        raw = fields.dW.copy()
+        connectivity._residual_from_messages(net, fields, tables)
+        assert raw[0, 0] < 0.0 and fields.dW.tobytes() == raw.tobytes()
+
     def test_symmetric_triangle_has_zero_z_field(self):
         # identical nodes on a vertex-transitive graph: G_i = G_j
         net = initial_network(K3, 1e-2)

@@ -7,7 +7,10 @@ unconstrained linear saddle system.
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +24,11 @@ from conftest import (
     lagrangian,
     lyapunov_distance,
     primal_field,
+    reference_steps,
     saddle_global_error,
     stepping,
 )
+from pdflow import flow
 from pdflow.flow import (
     DivergenceError,
     FlowState,
@@ -32,6 +37,7 @@ from pdflow.flow import (
     SolverConfig,
     _feasibility_gate,
     _integrator,
+    _product,
     kkt_residual,
     solve,
 )
@@ -356,6 +362,70 @@ class TestSteps:
         for _ in range(100):
             s = euler_step(p, s, 0.05)
             assert p.set.contains(s.x, tol=1e-12)
+
+
+def check_split_product_is_k_dot():
+    """Both block orders of the split product give ``K.dot``'s bits."""
+    rng = np.random.default_rng(61)
+    for rows in (480, 700, 701, 1203):
+        K = rng.normal(size=(rows, rows))
+        assert K.nbytes > flow.SPLIT_BYTES
+        product, s = _product(K), rng.normal(size=rows)
+        want = K.dot(s).tobytes()
+        for _ in range(2):  # one call per block order
+            out = np.empty(rows)
+            product(s, out)
+            assert out.tobytes() == want, rows
+
+
+def check_large_stage_solves_match_reference():
+    """Heun and RK4 on a QP whose ``K`` is split match the plain-numpy
+    reference stage bit for bit."""
+    rng = np.random.default_rng(62)
+    n, m, k = 420, 60, 140
+    M = rng.normal(size=(n, n))
+    problem = ProblemSpec(
+        objective=Objective.quadratic(M @ M.T / n + 0.1 * np.eye(n), rng.normal(size=n)),
+        A=rng.normal(size=(m, n)) / np.sqrt(n),
+        b=rng.normal(size=m),
+        set=Product([Box(-np.ones(k), np.ones(k)), Ball(np.zeros(k), 1.0), NonnegativeOrthant(k)]),
+    )
+    assert problem._kernel[0].nbytes > flow.SPLIT_BYTES
+    init = FlowState(x=problem.set.project(rng.normal(size=n)), v=rng.normal(size=m))
+    for integrator in ("heun", "rk4"):
+        config = SolverConfig(dt=0.05, tol=1e-300, integrator=integrator, max_steps=25)
+        final = solve(problem, config, init).final
+        want = reference_steps(problem, integrator, 0.05, init, 25)
+        assert np.concatenate([final.x, final.v]).tobytes() == want.tobytes(), integrator
+
+
+class TestSplitProduct:
+    def test_small_kernel_is_one_product(self):
+        K = np.eye(3)
+        assert _product(K) == K.dot
+
+    @pytest.mark.parametrize(
+        "check", [check_split_product_is_k_dot, check_large_stage_solves_match_reference]
+    )
+    def test_bitwise_under_one_blas_thread(self, check):
+        # a child Python, so that the check holds whatever BLAS threading
+        # this process runs with; with two threads, neither the split nor
+        # K.dot is reproducible across thread counts
+        here = os.path.dirname(os.path.abspath(__file__))
+        path = [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(path),
+        )
+        code = f"import test_flow; test_flow.{check.__name__}()"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestKKTResidual:

@@ -5,6 +5,8 @@ difference-quotient oracle (P(x + delta v) - x)/delta, and the nearest-point
 projections against idempotence, nonexpansiveness and the Moreau identity.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,17 @@ class TestProjectPoint:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             NonnegativeOrthant(2).project([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "x,want", [([1e300, 0.0], [1.0, 0.0]), ([1e308, 1e308], [0.5**0.5, 0.5**0.5])]
+    )
+    def test_ball_far_point_lands_on_the_sphere(self, x, want):
+        # ||x||^2 overflows; the centre is not the answer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Ball(center=[0.0, 0.0], radius=1.0).project(x)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("set_", make_sets(), ids=repr)
     def test_idempotent_exactly(self, set_):
@@ -128,6 +141,28 @@ class TestTangentProjection:
         with pytest.raises(ValueError):
             NonnegativeOrthant(1).project_tangent([-0.5], [1.0])
 
+    def test_ball_far_boundary_point(self):
+        # ||x - center||^2 overflows; only the outward radial part goes
+        ball, x = Ball(center=[0.0, 0.0], radius=1e300), [1e300, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ball.project_tangent(x, [1.0, 2.0]).tolist() == [0.0, 2.0]
+            assert ball.project_tangent(x, [-1.0, 2.0]).tolist() == [-1.0, 2.0]
+
+    @pytest.mark.parametrize("set_", make_sets(), ids=repr)
+    def test_tangent_overwrites_its_argument(self, set_):
+        # _tangent projects v in place and returns it; project_tangent
+        # works on a copy of the caller's v
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x = sample_in_set(set_, rng)
+            v = rng.normal(size=set_.dim)
+            kept = v.copy()
+            want = set_.project_tangent(x, v)
+            assert v.tobytes() == kept.tobytes()
+            assert set_._tangent(x, v) is v
+            assert v.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("set_", make_sets(), ids=repr)
     def test_strict_interior_is_identity(self, set_):
         rng = np.random.default_rng(10)
@@ -217,7 +252,7 @@ class TestBoxReferences:
                 projected = x.copy()
                 set_._project_in_place(projected)
                 assert projected.tobytes() == reference_project(set_, x).tobytes()
-                w = set_._tangent(x, v)
+                w = set_._tangent(x, v.copy())
                 assert w.tobytes() == reference_tangent(set_, x, v).tobytes()
                 assert not np.shares_memory(w, v)
 
@@ -246,6 +281,12 @@ class TestValidation:
     def test_ball_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
             Ball(center=[0.0], radius=0.0)
+
+    @pytest.mark.parametrize("radius", [np.inf, np.nan])
+    def test_ball_rejects_non_finite_radius(self, radius):
+        # an infinite radius would make the activity band inf - inf = nan
+        with pytest.raises(ValueError, match="^radius must be positive and finite$"):
+            Ball(center=[0.0, 0.0], radius=radius)
 
     def test_product_dim_is_sum(self):
         p = Product([FreeSpace(2), NonnegativeOrthant(3)])

@@ -66,8 +66,6 @@ def parse_set_descriptor(desc) -> SimpleSet:
         raise ValueError("set descriptor must be an object with a 'type' key")
     kind = desc["type"]
     if kind in ("free", "nonnegative"):
-        if type(desc["dim"]) is not int:  # not a bool, not a float
-            raise ValueError(f"set dimension must be an integer, got {desc['dim']!r}")
         return (FreeSpace if kind == "free" else NonnegativeOrthant)(desc["dim"])
     if kind == "box":
         lower = [_parse_bound(v, "lower") for v in desc["lower"]]
@@ -205,9 +203,9 @@ def _run_solve(problem: ProblemSpec, defaults: SolverConfig, args, stem: str) ->
     elapsed = time.perf_counter() - start
     csv_path = args.output / f"{stem}_trajectory.csv"
     write_trajectory_csv(csv_path, problem, result)
-    objective = float(problem.objective.evaluate(result.final.x))
     return _finish(
-        result.converged, result.steps_taken, result.residual, objective, elapsed, [csv_path]
+        result.converged, result.steps_taken, result.residual,
+        result.trajectory[-1].objective, elapsed, [csv_path],
     )
 
 

@@ -117,7 +117,6 @@ def _tables(graph: Graph) -> SimpleNamespace:
         off=np.stack([(node * n + a) * n + b, (node * n + b) * n + a]),
         abs_bt=np.abs(B.T),  # row i of W @ |B|^T is the diagonal of sum_k w_ik E_k
         dz_coef=0.5 * np.eye(n) - 1.0,  # dZ = dz_coef * (S + S^T)
-        triu=np.flatnonzero(np.triu(np.ones((n, n)))),  # flat upper-triangle indices
         X=np.empty((n, n, n)),  # overwritten by every node_matrices call
         # the gradient's working stacks, G returned in the first; _fields
         # then writes L G and dZ into the other two
@@ -144,7 +143,7 @@ def _broadcast(network: NetworkState, tables=None) -> np.ndarray:
     X = node_matrices(network, t)
     try:
         return smoothed_max_eig_grad(X, network.eps, t.scratch)
-    except ValueError:  # symmetrize found a non-finite entry: name its node
+    except ValueError:  # the gradient found a non-finite entry: name its node
         _require_finite(X)
         raise
 
@@ -179,9 +178,32 @@ def _residual_from_messages(network: NetworkState, fields: Fields, tables) -> fl
     dW = tables.dW
     np.copyto(dW, fields.dW.reshape(-1))
     tables.orthant._tangent(network.W.reshape(-1), dW)
-    dz = fields.dZ.reshape(len(fields.dZ), -1)[:, tables.triu]
-    sq = fields.dmu @ fields.dmu + (dW * dW).sum() + (dz * dz).sum()
+    # every dZ_i is symmetric (built from S + S^T), so its upper triangle
+    # holds half of its squared entries plus half of its diagonal's
+    n = len(fields.dZ)
+    dz, diag = fields.dZ.reshape(-1), fields.dZ.reshape(n, n * n)[:, :: n + 1]
+    sq = fields.dmu @ fields.dmu + dW @ dW + (dz @ dz + (diag * diag).sum()) / 2.0
     return float(np.abs(fields.dv).sum() + math.sqrt(sq))
+
+
+def _apply_round(network: NetworkState, fields: Fields, dt: float, tables) -> None:
+    """Phase 3: move every variable by ``dt`` times its field (both in
+    place), project ``W`` back onto the orthant, and raise
+    :class:`DivergenceError` naming the node once the state is not finite."""
+    arrays = network.mu, network.W, network.Z, network.v  # in the order of Fields
+    for array, field in zip(arrays, fields):
+        field *= dt
+        array += field
+    tables.orthant._project_in_place(network.W.reshape(-1))
+    # a non-finite total (non-finite entry or overflow) runs the exact check
+    if not math.isfinite(sum(array.sum() for array in arrays)):
+        _require_finite(*arrays)
+
+
+def objective_value(X: np.ndarray, eps: float) -> float:
+    """The network objective: the sum over nodes of the smoothed maximum
+    eigenvalue of the stack ``X`` of node matrices at temperature ``eps``."""
+    return float(smoothed_max_eig(X, eps).sum())
 
 
 def assemble_weights(network: NetworkState) -> np.ndarray:
@@ -246,8 +268,8 @@ def simulate(
     if init is not None and init.graph is not graph and init.graph.edges != graph.edges:
         raise ValueError("init was built for a different graph")
     network = initial_network(graph, eps) if init is None else replace(init, eps=eps)
-    # a fresh copy, in the order of the Fields that move it
-    arrays = mu, W, Z, v = network.mu, network.W, network.Z, network.v
+    # a fresh copy, which _apply_round advances in place
+    arrays = network.mu, network.W, network.Z, network.v
     for array in arrays:
         array.setflags(write=True)
 
@@ -265,7 +287,7 @@ def simulate(
                     history.append(
                         HistoryPoint(
                             round=rounds,
-                            objective=float(smoothed_max_eig(tables.X, network.eps).sum()),
+                            objective=objective_value(tables.X, network.eps),
                             lambda2=assembled_connectivity(network),
                             residual=residual,
                             contributions=contributions_vector(network),
@@ -273,14 +295,8 @@ def simulate(
                     )
                 if done:
                     break
-                for array, field in zip(arrays, fields):
-                    field *= config.dt
-                    array += field
-                tables.orthant._project_in_place(W.reshape(-1))
                 rounds += 1
-                # a non-finite total (non-finite entry or overflow) runs the exact check
-                if not math.isfinite(mu.sum() + W.sum() + Z.sum() + v.sum()):
-                    _require_finite(*arrays)
+                _apply_round(network, fields, config.dt, tables)
     except DivergenceError as err:
         # the round after which the state, or the X_i built from it, stopped being finite
         raise DivergenceError(f"round {rounds}: {err}") from err

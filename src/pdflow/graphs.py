@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# An eigenvalue of the unweighted Laplacian below this counts as zero when
-# checking connectedness (a connected graph has exactly one).
+# A graph whose unweighted Laplacian has its second-smallest eigenvalue
+# below this counts as disconnected (a connected graph has exactly one zero).
 _ZERO_EIG_TOL = 1e-9
 
 
@@ -63,24 +63,18 @@ class Graph:
         for array in (self.heads, self.tails, self.incidence, self.laplacian):
             array.setflags(write=False)
 
-        # connected iff the unweighted Laplacian has exactly one zero eigenvalue
-        if n > 1:
-            eigs = np.linalg.eigvalsh(self.laplacian)
-            if int(np.sum(eigs < _ZERO_EIG_TOL)) != 1:
-                raise ValueError("graph is not connected")
+        if n > 1 and algebraic_connectivity(self.laplacian) < _ZERO_EIG_TOL:
+            raise ValueError("graph is not connected")
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def _row(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise ValueError(f"node {i} out of range 1..{self.n}")
-        return i - 1
-
     def incident_edges(self, i: int) -> tuple:
         """Labels of the edges touching node ``i``, ascending."""
-        return tuple((np.flatnonzero(self.incidence[self._row(i)]) + 1).tolist())
+        if not 1 <= i <= self.n:
+            raise ValueError(f"node {i} out of range 1..{self.n}")
+        return tuple((np.flatnonzero(self.incidence[i - 1]) + 1).tolist())
 
     def degree(self, i: int) -> int:
         return len(self.incident_edges(i))

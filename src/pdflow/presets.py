@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import FlowState, Objective, ProblemSpec, SolverConfig
+from .flow import Objective, ProblemSpec, SolverConfig
 from .graphs import Graph, parse_graph
 from .sets import Box, NonnegativeOrthant
 
@@ -23,11 +23,6 @@ def example1_problem() -> ProblemSpec:
         b=np.array([0.0]),
         set=Box(lower=[2.0, -np.inf], upper=[np.inf, np.inf]),
     )
-
-
-def example1_saddle() -> FlowState:
-    """The unique saddle point of example 1: x = y = 2, dual 3."""
-    return FlowState(x=np.array([2.0, 2.0]), v=np.array([3.0]))
 
 
 def example2_problem() -> ProblemSpec:

@@ -27,6 +27,15 @@ ACTIVITY_RTOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 
 
+def _dimension(dim) -> int:
+    """``dim`` as a nonnegative int; floats and bools are refused, not truncated."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"set dimension must be an integer, got {dim!r}")
+    if dim < 0:
+        raise ValueError("dimension must be nonnegative")
+    return int(dim)
+
+
 def _as_vector(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
@@ -42,7 +51,8 @@ class SimpleSet:
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x``, as a new array."""
         x = _as_vector(x, self.dim).copy()
-        self._project_in_place(x)
+        with np.errstate(over="ignore"):  # x - bound may overflow; the sets handle it
+            self._project_in_place(x)
         return x
 
     def _project_in_place(self, x: np.ndarray) -> None:
@@ -58,7 +68,8 @@ class SimpleSet:
         x = _as_vector(x, self.dim)
         v = _as_vector(v, self.dim)
         self._require_member(x)
-        return self._tangent(x, v.copy())
+        with np.errstate(over="ignore"):
+            return self._tangent(x, v.copy())
 
     def _tangent(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Overwrite ``v`` with its tangent-cone projection at ``x`` and
@@ -73,7 +84,8 @@ class SimpleSet:
         x = _as_vector(x, self.dim)
         if not np.isfinite(x).all():  # before inf - inf can warn
             return False
-        return float(np.linalg.norm(self.project(x) - x)) <= tol
+        with np.errstate(over="ignore"):  # a far x: the distance is inf
+            return float(np.linalg.norm(self.project(x) - x)) <= tol
 
     def _require_member(self, x: np.ndarray) -> None:
         if not self.contains(x, MEMBERSHIP_TOL):
@@ -137,9 +149,8 @@ class FreeSpace(Box):
     """All of R^n: a box without bounds, so both projections are the identity."""
 
     def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        super().__init__(np.full(int(dim), -np.inf), np.full(int(dim), np.inf))
+        dim = _dimension(dim)
+        super().__init__(np.full(dim, -np.inf), np.full(dim, np.inf))
 
     def __repr__(self):
         return f"FreeSpace({self.dim})"
@@ -149,9 +160,8 @@ class NonnegativeOrthant(Box):
     """The set x >= 0 componentwise: a box with lower bound 0 and no upper."""
 
     def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        super().__init__(np.zeros(int(dim)), np.full(int(dim), np.inf))
+        dim = _dimension(dim)
+        super().__init__(np.zeros(dim), np.full(dim, np.inf))
 
     def __repr__(self):
         return f"NonnegativeOrthant({self.dim})"
@@ -178,18 +188,23 @@ class Ball(SimpleSet):
         """``(d, r, scale)``: ``d = (x - center) * scale`` and ``r = ||d||``.
 
         ``scale`` is 1, and ``r`` is ``np.linalg.norm``'s ``sqrt(d.d)``,
-        unless ``d.d`` overflows for a finite ``d``; then ``d`` is scaled by
+        unless ``d.d`` overflows for a finite ``x``; then ``d`` is scaled by
         the power of two that brings ``max |d_i|`` into [0.5, 1), so that
-        ``d / r`` is still the direction.  ``np.vdot``, unlike ``ndarray.dot``
-        and ``norm``, does not warn on the overflow; its bits are the same.
+        ``d / r`` is still the direction, and first taken from the halves
+        ``x/2 - center/2`` if ``x - center`` itself overflowed.  ``np.vdot``,
+        unlike ``ndarray.dot`` and ``norm``, does not warn on the overflow;
+        its bits are the same.
         """
         d = x - self.center
         r = math.sqrt(np.vdot(d, d))
-        if r != math.inf or not np.isfinite(d).all():
+        if r != math.inf or not np.isfinite(x).all():
             return d, r, 1.0
+        halved = not np.isfinite(d).all()
+        if halved:
+            d = x / 2.0 - self.center / 2.0
         scale = math.ldexp(1.0, -math.frexp(float(np.abs(d).max()))[1])
         d *= scale
-        return d, math.sqrt(np.vdot(d, d)), scale
+        return d, math.sqrt(np.vdot(d, d)), scale / 2.0 if halved else scale
 
     def _project_in_place(self, x) -> None:
         d, r, scale = self._offset(x)

@@ -110,8 +110,8 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
     evaluation works in; the gradient is then returned in the first, and
     the other two are left as garbage.  Without it they are allocated.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     X = _square(matrix)
     if X.size == 0:  # an empty stack, or 0 x 0 matrices
         return np.zeros(X.shape)

@@ -2,7 +2,8 @@
 graphs and edge matrices, a per-node reference and the finite-difference
 oracle for the distributed node fields, the eigendecomposition oracle for
 the smoothed-eigenvalue gradient, the network's objective and augmented
-Lagrangian, one simulated round, the flow's Lagrangians and fields, one-step
+Lagrangian, one simulated round, example 1's saddle point, the flow's
+Lagrangians and fields, one-step
 and in-place steppers, a plain-numpy Heun/RK4 reference, the tangent-quotient
 and Lyapunov-distance oracles, and the matrix-exponential oracle for
 integrator orders."""
@@ -287,7 +288,7 @@ def network_fields(network: NetworkState) -> Fields:
     return _fields(network, _broadcast(network))
 
 
-def objective_value(network: NetworkState) -> float:
+def network_objective(network: NetworkState) -> float:
     """Sum over nodes of the smoothed maximum eigenvalue of X_i."""
     return float(smoothed_max_eig(node_matrices(network), network.eps).sum())
 
@@ -358,6 +359,11 @@ def worst_field_fd_error(network: NetworkState) -> float:
 
 
 # ------------------------------------------------- flow oracles
+
+def example1_saddle() -> FlowState:
+    """The unique saddle point of ``presets.example1_problem``: x = y = 2, dual 3."""
+    return FlowState(x=np.array([2.0, 2.0]), v=np.array([3.0]))
+
 
 def lagrangian(problem: ProblemSpec, x, v) -> float:
     """f(x) + v^T (A x - b)."""

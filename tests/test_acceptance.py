@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    example1_saddle,
     integrator_order_slope,
     lyapunov_distance,
     make_set_variants,
@@ -30,7 +31,6 @@ from pdflow.presets import (
     EXAMPLE4_EPS,
     EXAMPLE4_TOL,
     example1_problem,
-    example1_saddle,
     example2_problem,
     example3_graph,
     example4_graph,

@@ -201,6 +201,37 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([EXAMPLE1_DOC], "top level must be an object"),
+            ({k: v for k, v in EXAMPLE1_DOC.items() if k != "set"}, "missing key 'set'"),
+            (dict(EXAMPLE1_DOC, set=["box"]), "set descriptor must be an object with a 'type' key"),
+            (dict(EXAMPLE1_DOC, objective="linear"), "objective must be an object with a 'type' key"),
+            (
+                dict(EXAMPLE1_DOC, objective={"type": "quadratic", "c": [1.0, 3.0]}),
+                "quadratic objective requires a 'Q' matrix",
+            ),
+            (
+                dict(EXAMPLE1_DOC, objective={"type": "cubic", "c": [1.0, 3.0]}),
+                "unknown objective type 'cubic'",
+            ),
+            (
+                dict(EXAMPLE1_DOC, objective={"type": "quadratic", "Q": [[1.0]], "c": [1.0, 3.0]}),
+                "Q must be square and match the dimension of c",
+            ),
+        ],
+        ids=[
+            "top-level-list", "missing-set", "set-not-object", "objective-not-object",
+            "quadratic-without-Q", "unknown-objective", "Q-of-wrong-shape",
+        ],
+    )
+    def test_malformed_document_is_input_error(self, tmp_path, capsys, doc, message):
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err and "Traceback" not in err
+
     def test_infinite_ball_radius_is_input_error(self, tmp_path, capsys):
         # json reads Infinity, which json.dumps writes for inf
         ball = {"type": "ball", "center": [0.0, 0.0], "radius": float("inf")}
@@ -426,6 +457,16 @@ class TestExamplesCommand:
         assert main(["examples", name, flag, value, "--output", str(tmp_path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert f"{field} must be positive and finite" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "name,flag,field",
+        [("example1", "--steps", "max_steps"), ("example3", "--record-stride", "record_stride")],
+    )
+    def test_count_below_one_is_input_error(self, tmp_path, capsys, name, flag, field):
+        assert main(["examples", name, flag, "0", "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{field} must be at least 1" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
     def test_unknown_name_is_usage_error(self):

@@ -14,7 +14,7 @@ from conftest import (
     edge_matrix,
     network_fields,
     num_basis,
-    objective_value,
+    network_objective,
     one_round,
     random_connected_graph,
     reference_fields,
@@ -166,6 +166,24 @@ class TestNodeFields:
             np.sum(fields.dmu**2) + fields.dW[1, 0] ** 2 + np.sum(dz**2)
         )
         assert residual == pytest.approx(expected, rel=1e-15)
+
+    def test_residual_matches_the_upper_triangle_sum(self):
+        # the residual's z term comes from each dZ_i's squared entries and
+        # diagonal; the reference sums the upper triangles it stands for
+        rng = np.random.default_rng(83)
+        for _ in range(5):
+            graph = random_connected_graph(rng, 3, 6)
+            net = random_network(graph, 0.3, rng)
+            tables = connectivity._tables(graph)
+            fields = connectivity._fields(net, _broadcast(net, tables), tables)
+            residual = connectivity._residual_from_messages(net, fields, tables)
+            rows, cols = np.triu_indices(graph.n)
+            dz = fields.dZ[:, rows, cols]
+            assert np.array_equal(fields.dZ, np.swapaxes(fields.dZ, 1, 2))
+            expected = np.abs(fields.dv).sum() + np.sqrt(
+                np.sum(fields.dmu**2) + np.sum(fields.dW**2) + np.sum(dz**2)
+            )
+            assert residual == pytest.approx(expected, rel=1e-14)
 
     def test_residual_leaves_the_raw_weight_field(self):
         # the update moves along the raw dW; the residual projects a copy
@@ -369,19 +387,19 @@ class TestAssembly:
 class TestObjective:
     def test_all_zero_state(self):
         net = zero_network(P3, eps=0.2)
-        assert objective_value(net) == pytest.approx(3 * 0.2 * np.log(3), abs=1e-12)
+        assert network_objective(net) == pytest.approx(3 * 0.2 * np.log(3), abs=1e-12)
 
     def test_aggregate_lagrangian_reduces_to_objective_when_feasible(self):
         net = initial_network(P3, 1e-2)  # budgets hold exactly
         assert aggregate_augmented_lagrangian(net) == pytest.approx(
-            objective_value(net), abs=1e-12
+            network_objective(net), abs=1e-12
         )
 
     def test_matches_manual_sum(self):
         rng = np.random.default_rng(59)
         net = random_network(P3, 0.5, rng)
         manual = sum(smoothed_max_eig(reference_node_matrix(net, i), 0.5) for i in (1, 2, 3))
-        assert objective_value(net) == pytest.approx(manual, abs=1e-12)
+        assert network_objective(net) == pytest.approx(manual, abs=1e-12)
 
     def test_recorded_objective_matches_reference(self):
         # simulate records the objective from the round's own eigenvalues
@@ -389,8 +407,8 @@ class TestObjective:
         cfg = SolverConfig(dt=EXAMPLE4_DT, max_steps=300, tol=1e-30, record_stride=100)
         net, hist = simulate(graph, EXAMPLE4_EPS, cfg)
         start = initial_network(graph, EXAMPLE4_EPS)
-        assert abs(hist[0].objective - objective_value(start)) <= 1e-12
-        assert abs(hist[-1].objective - objective_value(net)) <= 1e-12
+        assert abs(hist[0].objective - network_objective(start)) <= 1e-12
+        assert abs(hist[-1].objective - network_objective(net)) <= 1e-12
 
 
 class TestSimulate:

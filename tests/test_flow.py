@@ -20,6 +20,7 @@ from conftest import (
     augmented_lagrangian,
     dual_field,
     euler_step,
+    example1_saddle,
     integrator_order_slope,
     lagrangian,
     lyapunov_distance,
@@ -44,7 +45,6 @@ from pdflow.flow import (
 from pdflow.presets import (
     EXAMPLE2_OPTIMAL_VALUE,
     example1_problem,
-    example1_saddle,
     example2_problem,
     lp_config,
 )
@@ -175,6 +175,12 @@ class TestProblemSpec:
         for make in (lambda: Objective.linear(5.0), lambda: Objective.quadratic([[1.0]], 5.0)):
             with pytest.raises(ValueError, match="c must be a vector"):
                 make()
+
+    def test_rejects_a_non_matrix_A(self):
+        with pytest.raises(ValueError, match="^A must be a matrix$"):
+            ProblemSpec(
+                objective=Objective.linear([1.0, 2.0]), A=np.ones(2), b=np.ones(1), set=FreeSpace(2)
+            )
 
     def test_rho_positive(self):
         with pytest.raises(ValueError):
@@ -474,6 +480,15 @@ class TestLyapunov:
 
 
 class TestSolve:
+    def test_rejects_unknown_integrator(self):
+        with pytest.raises(ValueError, match="^unknown integrator 'leapfrog'$"):
+            SolverConfig(integrator="leapfrog")
+
+    def test_rejects_dual_init_of_wrong_shape(self):
+        init = FlowState(x=np.zeros(2), v=np.zeros(2))
+        with pytest.raises(ValueError, match=r"dual init must have 1 entries, got shape \(2,\)"):
+            solve(example1_problem(), SolverConfig(), init)
+
     def test_example1_from_several_starts(self):
         p = example1_problem()
         cfg = SolverConfig(dt=1e-2, max_steps=50_000, tol=1e-8)

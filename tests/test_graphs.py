@@ -29,6 +29,14 @@ class TestGraph:
         with pytest.raises(ValueError, match="not connected"):
             Graph(4, [(1, 2), (3, 4)])
 
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [(0, [], "at least one node"), (3, [(1, 4)], r"edge \(1, 4\) references a node outside 1..3")],
+    )
+    def test_rejects_bad_size_or_endpoint(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
+
     def test_adjacency_structure(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
         assert g.incident_edges(2) == (1, 2)
@@ -181,6 +189,21 @@ class TestAlgebraicConnectivity:
             algebraic_connectivity(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            (np.zeros((2, 3)), "square matrix of order >= 2"),
+            ([[1.0, -1.0], [0.0, 0.0]], "not symmetric"),
+            ([[1.0, 0.0], [0.0, 1.0]], "rows do not sum to zero"),
+            ([[-1.0, 1.0], [1.0, -1.0]], "not positive semidefinite"),
+        ],
+        ids=["non-square", "non-symmetric", "row-sums", "negative-definite"],
+    )
+    def test_names_why_a_matrix_is_not_a_laplacian(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            algebraic_connectivity(matrix)
+
+
 class TestParseGraph:
     def test_p3(self):
         g = parse_graph("3\n1 2\n2 3\n")
@@ -206,6 +229,20 @@ class TestParseGraph:
     def test_garbage_line(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_graph("3\n1 2 3\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("3 4\n1 2\n", "line 1: expected the node count"),
+            ("three\n", "line 1: node count 'three' is not an integer"),
+            ("# none\n0\n", "line 2: node count must be positive"),
+            ("3\n1 b\n", "line 2: endpoints must be integers"),
+        ],
+        ids=["two-counts", "word-count", "zero-count", "word-endpoint"],
+    )
+    def test_malformed_line_is_named(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_graph(text)
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -5,6 +5,7 @@ difference-quotient oracle (P(x + delta v) - x)/delta, and the nearest-point
 projections against idempotence, nonexpansiveness and the Moreau identity.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,28 @@ class TestProjectPoint:
             got = Ball(center=[0.0, 0.0], radius=1.0).project(x)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "center,x", [([-1e308, 0.0], [1e308, 0.0]), ([-1e308, -1e308], [1e308, 1e308])]
+    )
+    def test_ball_point_whose_offset_overflows(self, center, x):
+        # x - center is inf; the public methods neither return NaN nor warn
+        ball = Ball(center=center, radius=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ball.project(x)
+            assert np.isfinite(got).all() and ball.contains(got)
+            assert not ball.contains(x)
+        if center[1] == 0.0:
+            assert np.array_equal(got, [-1e308, 0.0])
+
+    def test_box_bound_gap_that_overflows_is_silent(self):
+        # |x - lower| is inf at the upper bound: only the upper side is active
+        box = Box([-1e308], [1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(box.project_tangent([1e308], [1.0]), [0.0])
+            assert np.array_equal(box.project_tangent([1e308], [-1.0]), [-1.0])
 
     @pytest.mark.parametrize("set_", make_sets(), ids=repr)
     def test_idempotent_exactly(self, set_):
@@ -287,6 +310,37 @@ class TestValidation:
         # an infinite radius would make the activity band inf - inf = nan
         with pytest.raises(ValueError, match="^radius must be positive and finite$"):
             Ball(center=[0.0, 0.0], radius=radius)
+
+    @pytest.mark.parametrize(
+        "make,error,message",
+        [
+            (lambda: Box([0.0, 0.0], [1.0]), ValueError, "1-d arrays of equal length"),
+            (lambda: Box([np.nan], [1.0]), ValueError, "must not be NaN"),
+            (lambda: Box([np.inf], [np.inf]), ValueError, "empty coordinate range"),
+            (lambda: Ball(center=[[0.0]], radius=1.0), ValueError, "center must be a 1-d array"),
+            (lambda: Ball(center=[0.0, np.inf], radius=1.0), ValueError, "center must be finite"),
+            (lambda: Product([]), ValueError, "at least one component"),
+            (lambda: Product([FreeSpace(1), "box"]), TypeError, "'box' is not a SimpleSet"),
+        ],
+        ids=[
+            "box-shapes", "box-nan", "box-empty-range", "ball-center-shape", "ball-center-inf",
+            "empty-product", "product-of-a-string",
+        ],
+    )
+    def test_rejects_malformed_arguments(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+    @pytest.mark.parametrize("cls", [FreeSpace, NonnegativeOrthant])
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, np.float64(3.0), "3"])
+    def test_dimension_must_be_an_integer(self, cls, dim):
+        # neither truncated nor taken as 1
+        with pytest.raises(ValueError, match=f"^set dimension must be an integer, got {re.escape(repr(dim))}$"):
+            cls(dim)
+
+    @pytest.mark.parametrize("cls", [FreeSpace, NonnegativeOrthant])
+    def test_numpy_integer_dimension(self, cls):
+        assert cls(np.int64(3)).dim == 3 and cls(np.uint8(0)).dim == 0
 
     def test_product_dim_is_sum(self):
         p = Product([FreeSpace(2), NonnegativeOrthant(3)])

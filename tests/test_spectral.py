@@ -358,6 +358,6 @@ class TestScaledAndSquaredGradient:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 smoothed_max_eig_grad(np.array([[0.0, bad], [bad, 1.0]]), 0.1)
-        for eps in (0.0, -1.0, np.nan):
+        for eps in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="eps must be positive"):
                 smoothed_max_eig_grad(np.eye(2), eps)

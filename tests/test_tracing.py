@@ -12,12 +12,6 @@ from pdflow.sets import SimpleSet
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# Stale already, so their spans read 0: ROADMAP item 1 re-points or drops them.
-STALE = {
-    ("connectivity", "_apply_round"),
-    ("connectivity", "objective_value"),
-}
-
 
 def test_wrapped_names_resolve_in_pdflow():
     tracing = runpy.run_path(str(TRACING))  # executed, not imported: no bytecode written
@@ -30,6 +24,6 @@ def test_wrapped_names_resolve_in_pdflow():
         for module, name in functions
         if not callable(getattr(importlib.import_module(f"pdflow.{module}"), name, None))
     }
-    assert missing <= STALE, sorted(missing - STALE)
+    assert not missing, sorted(missing)
     for method in tracing["SET_METHOD_SPANS"]:
         assert callable(getattr(SimpleSet, method, None)), method

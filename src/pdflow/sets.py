@@ -193,12 +193,16 @@ class Ball(SimpleSet):
         ``d / r`` is still the direction, and first taken from the halves
         ``x/2 - center/2`` if ``x - center`` itself overflowed.  ``np.vdot``,
         unlike ``ndarray.dot`` and ``norm``, does not warn on the overflow;
-        its bits are the same.
+        its bits are the same.  An ``x`` with infinite coordinates gets scale
+        0 and, as ``d``, their signs: the direction of its limit point.
         """
         d = x - self.center
         r = math.sqrt(np.vdot(d, d))
-        if r != math.inf or not np.isfinite(x).all():
+        if r != math.inf:
             return d, r, 1.0
+        if not np.isfinite(x).all():
+            d = np.where(np.isinf(x), np.sign(x), 0.0)
+            return d, math.sqrt(np.vdot(d, d)), 0.0
         halved = not np.isfinite(d).all()
         if halved:
             d = x / 2.0 - self.center / 2.0

@@ -18,9 +18,10 @@ scaling and squaring method for the matrix exponential revisited", SIAM J.
 Matrix Anal. Appl. 2005), a dozen or two matrix products.
 
 Every function also accepts a stack of matrices of shape ``(..., n, n)``
-and then works on each matrix of the stack.  Each matrix's scaling,
-squaring count and renormalization depend on that matrix alone, so a
-matrix of a stack gets bit for bit the gradient it gets on its own.
+and then works on each matrix of the stack.  Each matrix's scaling and
+squaring count depend on that matrix alone, and renormalization is exact
+(a power of two), so it leaves no trace in any result: a matrix of a
+stack gets bit for bit the gradient it gets on its own.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 # the first omitted term, THETA^(m+1) / (m+1)!, is at most 2^-53.
 TAYLOR_DEGREE = 8
 THETA = (2.0**-53 * math.factorial(TAYLOR_DEGREE + 1)) ** (1.0 / (TAYLOR_DEGREE + 1))
-# Past this norm of X / eps, exp(X / eps) may overflow (exp(709) is near the
-# largest double), so its squarings are renormalized to unit trace.
-RENORM_NORM = 512.0
+# exp(B) with ||B|| <= THETA has its eigenvalues within e^(+-THETA), so this
+# many squarings of it cannot overflow (exp(709) is near the largest double).
+SAFE_SQUARINGS = int(math.log2(math.log(np.finfo(float).max) / THETA))
 # A matrix with an entry of 2^SAFE_EXPONENT or more is first scaled below it
 # by a power of two, so that its sum of squared entries cannot overflow.
 SAFE_EXPONENT = 400
@@ -145,10 +146,14 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
         T_diagonal += 1.0 / math.factorial(j)
         P, T, P_diagonal, T_diagonal = T, P, T_diagonal, P_diagonal
 
-    # square matrix i s_i times, renormalizing those that could overflow
-    renorm = log2_norm > math.log2(RENORM_NORM)
-    any_renorm, all_active = bool(renorm.any()), int(s.min())
+    # square matrix i s_i times; from squaring SAFE_SQUARINGS on, rescale the
+    # stack every `every` squarings by powers of two to traces in [1/2, 1), so
+    # no eigenvalue exceeds 1 and the top one, >= 1/(2n), stays normal
+    every = int(math.log2(1022 / math.log2(2 * S.shape[-1])))
+    all_active = int(s.min())
     for k in range(int(s.max())):
+        if k >= SAFE_SQUARINGS and (k - SAFE_SQUARINGS) % every == 0:
+            P *= np.ldexp(1.0, -np.frexp(_diagonal(P).sum(axis=-1))[1])[..., None, None]
         if k < all_active:
             np.matmul(P, P, out=T)
             P, T = T, P
@@ -156,11 +161,6 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
             active = s > k
             Q = P[active]
             P[active] = Q @ Q
-        if any_renorm:
-            scaled = renorm & (s > k)
-            Q = P[scaled]
-            Q /= _diagonal(Q).sum(axis=-1)[..., None, None]
-            P[scaled] = Q
     G = np.add(P, np.swapaxes(P, -1, -2), out=S)
     G *= (0.5 / _diagonal(P).sum(axis=-1))[..., None, None]
     return G

@@ -129,6 +129,9 @@ def test_criterion_3_example3_p3(ex3_run):
     assert abs(contributions[(2, 1)] - 0.5) <= 0.05
     assert abs(contributions[(2, 2)] - 0.5) <= 0.05
     assert abs(final.lambda2 - 1.5) <= 0.05
+    # 2,786 rounds with one OpenBLAS build; another BLAS kernel sums in
+    # another order, so the round is pinned within 1%
+    assert abs(final.round - 2_786) <= 0.01 * 2_786
     _report(3, f"example 3 lambda2 {final.lambda2:.4f}, contributions ok, {elapsed:.1f}s")
 
 

@@ -3,6 +3,7 @@ against a per-node reference and finite differences, locality, synchronous
 rounds and small end-to-end runs."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -56,15 +57,32 @@ def zero_network(graph, eps=1e-3):
 
 
 def k2_equilibrium(eps=1e-3):
-    """Exact fixed point of the K2 dynamics (in double precision).
+    """Fixed point of the K2 dynamics (in double precision).
 
     With mu large enough, the all-ones direction's softmax weight underflows
-    to exactly zero, so every field evaluates to exactly 0.0.
+    to exactly zero, so G is [[1, -1], [-1, 1]] / 2 up to rounding.  ``v`` is
+    the pairing trace(G E_1) and each budget is met, so dW, dZ and dv are
+    exactly 0.0; dmu, the sum of G's entries, is 0 up to rounding.
     """
     net = NetworkState(K2, np.full(2, 2.0), np.ones((2, 1)), np.zeros((2, 2, 2)), np.zeros(2), eps)
     G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
     v = float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1])
     return dataclasses.replace(net, v=np.full(2, v))
+
+
+def assert_k2_fixed_point(net, dt):
+    """dW, dZ and dv vanish exactly; dmu, the sum of four entries of G that
+    are +-1/2 to within an ulp of 1/2, is at most four such ulps per node.
+    So the residual is at most 4 ulps times sqrt(2), and a round moves mu
+    by dt * dmu, below half an ulp of mu, and changes nothing."""
+    bound = 4.0 * np.spacing(0.5)
+    fields = network_fields(net)
+    for name in ("dW", "dZ", "dv"):
+        assert not getattr(fields, name).any(), name
+    assert np.abs(fields.dmu).max() <= bound
+    after, residual = one_round(net, dt)
+    assert residual <= math.sqrt(2.0) * bound
+    assert_same_state(net, after)
 
 
 def ring_with_chords(n, chords, rng):
@@ -258,15 +276,12 @@ class TestNodeFields:
 
 class TestRound:
     def test_equilibrium_is_fixed_point(self):
-        # every field is exactly zero, so a round would change nothing;
-        # simulate stops at round 0
+        assert_k2_fixed_point(k2_equilibrium(), 0.05)
+
+    def test_fixed_point_check_sees_a_dual_off_by_1e_12(self):
         net = k2_equilibrium()
-        after, residual = one_round(net, 0.05)
-        assert residual == 0.0
-        assert_same_state(net, after)
-        fields = network_fields(net)
-        for name in fields._fields:
-            assert not getattr(fields, name).any(), name
+        with pytest.raises(AssertionError):
+            assert_k2_fixed_point(dataclasses.replace(net, v=net.v + 1e-12), 0.05)
 
     def test_zero_state_dual_update(self):
         # every node starts with empty budget: dv = -1, so v <- -dt

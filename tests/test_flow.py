@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -541,6 +542,18 @@ class TestSolve:
         res = solve(p, SolverConfig(dt=1e-2, max_steps=1, tol=1e-12), FlowState(x=np.array([-5.0, 0.0]), v=np.zeros(1)))
         assert res.trajectory[0].x[0] >= 2.0
 
+    def test_infinite_start_on_a_ball_converges(self):
+        # the start projects to the limit point (1, 0) of the ball, not NaN
+        p = ProblemSpec(
+            objective=Objective.linear(np.ones(2)), A=np.zeros((0, 2)), b=np.zeros(0), set=Ball(np.zeros(2), 1.0)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve(p, SolverConfig(dt=1e-2, tol=1e-9), FlowState(x=[np.inf, 0.0], v=np.zeros(0)))
+        assert res.converged
+        assert np.array_equal(res.trajectory[0].x, [1.0, 0.0])
+        assert np.abs(res.final.x + 0.5**0.5).max() <= 1e-8
+
     def test_matches_manual_euler_iteration_bitwise(self):
         p = example1_problem()
         cfg = SolverConfig(dt=1e-2, max_steps=300, tol=1e-30, record_stride=50)
@@ -713,6 +726,62 @@ class TestSolve:
         assert res.trajectory[0].t == 0.0
         for point in res.trajectory:
             assert p.set.contains(point.x, tol=1e-12)
+
+
+class TestNonUniqueOptimum:
+    """min x_1 s.t. x_1 + x_2 + x_3 = 1, x >= 0: the optimal set is the face
+    x_1 = 0, and its saddle points are ((0, t, 1 - t), v = 0) for t in [0, 1].
+    The paper's theorem: the flow converges to one of them, and its distance
+    to every one of them does not increase."""
+
+    problem = ProblemSpec(
+        objective=Objective.linear([1.0, 0.0, 0.0]),
+        A=np.ones((1, 3)),
+        b=np.ones(1),
+        set=NonnegativeOrthant(3),
+    )
+    config = SolverConfig(dt=1e-2, max_steps=20_000, tol=1e-9)
+
+    @staticmethod
+    def start(seed):
+        rng = np.random.default_rng(seed)
+        return FlowState(x=rng.uniform(0.0, 2.0, 3), v=rng.normal(size=1))
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [solve(self.problem, self.config, self.start(seed)) for seed in range(4)]
+
+    def test_limits_are_different_points_of_the_face(self, runs):
+        limits = []
+        for res in runs:
+            x = res.final.x
+            assert res.converged
+            assert kkt_residual(self.problem, res.final) <= self.config.tol
+            assert x.min() >= 0.0 and x[0] <= self.config.tol
+            assert abs(x.sum() - 1.0) <= self.config.tol
+            limits.append(x)
+        # pairwise far apart beyond what the tolerance leaves unresolved
+        gaps = [np.linalg.norm(a - b) for i, a in enumerate(limits) for b in limits[i + 1 :]]
+        assert min(gaps) >= 1e3 * self.config.tol
+
+    def test_distance_to_every_saddle_does_not_increase(self, runs):
+        # an Euler step x+ = P_K(x + dt F), v+ = v + dt (A x - b) adds at most
+        # dt^2 ||F||^2 / 2 to the half squared distance, since <F, z - z*> <= 0
+        p, dt = self.problem, self.config.dt
+        for seed, res in enumerate(runs):
+            own = res.final.x[1] / (res.final.x[1] + res.final.x[2])
+            saddles = [FlowState(x=[0.0, t, 1.0 - t], v=[0.0]) for t in (0.0, 0.25, 0.5, 1.0, own)]
+            state = self.start(seed)
+            state = FlowState(x=p.set.project(state.x), v=state.v)
+            d_prev = [lyapunov_distance(state, z) for z in saddles]
+            for _, nxt in zip(range(res.steps_taken), stepping(p, "euler", dt, state)):
+                r = p.A @ state.x - p.b
+                F = -p.objective.gradient(state.x) - p.A.T @ (state.v + p.rho * r)
+                slack = 0.5 * dt**2 * (F @ F + r @ r)
+                d = [lyapunov_distance(nxt, z) for z in saddles]
+                for a, b in zip(d_prev, d):
+                    assert b <= a + slack + 1e-14 * (1.0 + a)
+                state, d_prev = nxt, d
 
 
 class TestFeasibilityGate:

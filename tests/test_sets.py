@@ -52,6 +52,16 @@ class TestProjectPoint:
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize(
+        "x,want", [([np.inf, 0.0], [1.0, 0.0]), ([-np.inf, np.inf], [-(0.5**0.5), 0.5**0.5])]
+    )
+    def test_ball_infinite_coordinate_projects_to_the_limit_point(self, x, want):
+        # along the signs of the infinite coordinates, as a box clamps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Ball(center=[0.0, 0.0], radius=1.0).project(x)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
         "center,x", [([-1e308, 0.0], [1e308, 0.0]), ([-1e308, -1e308], [1e308, 1e308])]
     )
     def test_ball_point_whose_offset_overflows(self, center, x):

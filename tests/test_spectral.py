@@ -237,14 +237,15 @@ class TestStacks:
             assert values[i] == smoothed_max_eig(X[i], 0.3)
 
     def test_mixed_scales_match_single_matrices(self):
-        # each matrix picks its own scaling, squaring count and renormalization
+        # each matrix picks its own scaling and squaring count; the stack's
+        # rescales are by powers of two, so they leave no trace
         rng = np.random.default_rng(31)
         X = np.stack(
             [
                 random_symmetric(rng, 6),
                 np.zeros((6, 6)),
                 1e300 * random_symmetric(rng, 6, scale=1.0),
-                random_symmetric(rng, 6, scale=100.0),  # renormalized at eps 0.01
+                random_symmetric(rng, 6, scale=100.0),  # rescaled at eps 0.01
             ]
         )
         G = smoothed_max_eig_grad(X, 0.01)
@@ -266,7 +267,7 @@ class TestStacks:
                 ),
                 0.01,
             ),
-            # ||X / eps|| > 512: renormalized between squarings
+            # more than SAFE_SQUARINGS squarings: rescaled between squarings
             (np.stack([random_symmetric(np.random.default_rng(39), 6, scale=100.0)] * 2), 0.01),
         ],
         ids=["single", "mixed-squarings", "renormalized"],
@@ -297,20 +298,48 @@ class TestScaledAndSquaredGradient:
     """The gradient exp(X/eps) / tr exp(X/eps) is evaluated by scaling and
     squaring; the eigendecomposition and scipy's expm are its oracles."""
 
+    # at eps 1e-6, n = 40 takes 28 squarings, rescaled after 13, 20 and 27;
+    # at eps 1e-8, n = 2 takes 31, rescaled every 8 after 13
     @pytest.mark.parametrize("n", [2, 3, 10, 40])
-    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 1e-3])
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01, 1e-3, 1e-6, 1e-8])
     def test_matches_oracles(self, n, eps):
         rng = np.random.default_rng(n)
-        for _ in range(5):
-            X = random_symmetric(rng, n, scale=1.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                G = smoothed_max_eig_grad(X, eps)
-            assert_gradient_structure(G)
-            assert np.abs(G - eigh_smoothed_grad(X, eps)).max() <= 1e-12
-            if np.abs(X).sum(axis=0).max() / eps < 700.0:  # exp(X/eps) is representable
-                E = expm(X / eps)
-                assert np.abs(G - E / np.trace(E)).max() <= 1e-12
+        X = np.stack([random_symmetric(rng, n, scale=1.0) for _ in range(5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = smoothed_max_eig_grad(X, eps)
+        for Xi, Gi in zip(X, G):
+            assert np.array_equal(Gi, smoothed_max_eig_grad(Xi, eps))
+            assert_gradient_structure(Gi)
+            assert np.abs(Gi - eigh_smoothed_grad(Xi, eps)).max() <= 1e-12
+            if np.abs(Xi).sum(axis=0).max() / eps < 700.0:  # exp(X/eps) is representable
+                E = expm(Xi / eps)
+                assert np.abs(Gi - E / np.trace(E)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 10, 40])
+    def test_clustered_top_eigenvalue(self, n):
+        # n - 1 equal top eigenvalues: right after a rescale the top one may
+        # be 1/(2(n - 1)), near the 1/(2n) the rescale interval rests on.  At
+        # eps 1e-6 it takes 24 squarings and two rescales, which the small
+        # and the zero matrix of the stack undergo too, but not on their own
+        rng = np.random.default_rng(40 + n)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        C = symmetrize(Q @ np.diag([-1.0] + [0.0] * (n - 1)) @ Q.T)
+        X = np.stack([C, random_symmetric(rng, n, scale=1e-5), np.zeros((n, n))])
+        eps = 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G = smoothed_max_eig_grad(X, eps)
+        for Xi, Gi in zip(X, G):
+            assert np.array_equal(Gi, smoothed_max_eig_grad(Xi, eps))
+            assert_gradient_structure(Gi)
+        # the top eigenspace is as ill-conditioned as it gets: each method's
+        # backward error, about n u ||X||, moves the 1/eps-Lipschitz G by up
+        # to n u ||X|| / eps
+        tol = 2.0 * n * 2.0**-53 * np.linalg.norm(C) / eps
+        assert np.abs(G[0] - eigh_smoothed_grad(C, eps)).max() <= tol
+        for Xi, Gi in zip(X[1:], G[1:]):
+            assert np.abs(Gi - eigh_smoothed_grad(Xi, eps)).max() <= 1e-12
 
     def test_entries_near_float_limit(self):
         rng = np.random.default_rng(33)

@@ -119,8 +119,8 @@ def _tables(graph: Graph) -> SimpleNamespace:
         dz_coef=0.5 * np.eye(n) - 1.0,  # dZ = dz_coef * (S + S^T)
         X=np.empty((n, n, n)),  # overwritten by every node_matrices call
         # the gradient's working stacks, G returned in the first; _fields
-        # then writes L G and dZ into the other two
-        scratch=np.empty((3, n, n, n)),
+        # then writes L G and dZ into the second and third
+        scratch=np.empty((4, n, n, n)),
     )
 
 
@@ -159,7 +159,7 @@ def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
     flat = G.reshape(n, n * n)
     pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
     dW = np.where(t.mask, pairing - network.v[:, None] - g[:, None], 0.0)
-    _, S, dZ = t.scratch
+    S, dZ = t.scratch[1:3]
     np.matmul(graph.laplacian, flat, out=S.reshape(n, n * n))
     # trace(S B_pq) for the symmetric basis matrix B_pq, from S + S^T, which
     # keeps every Z_i exactly symmetric whatever order BLAS sums in

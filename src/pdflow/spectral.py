@@ -15,7 +15,9 @@ its applications in semidefinite optimization", Math. Program. 2007).  The
 gradient needs no eigendecomposition: the exponential is a Taylor
 polynomial of a scaled-down argument, squared back up (Higham, "The
 scaling and squaring method for the matrix exponential revisited", SIAM J.
-Matrix Anal. Appl. 2005), a dozen or two matrix products.
+Matrix Anal. Appl. 2005).  The polynomial takes three matrix products in
+Sastre's form ("Efficient evaluation of matrix polynomials", Linear Algebra
+Appl. 2018), and each halving of the argument one squaring.
 
 Every function also accepts a stack of matrices of shape ``(..., n, n)``
 and then works on each matrix of the stack.  Each matrix's scaling and
@@ -41,6 +43,15 @@ SAFE_SQUARINGS = int(math.log2(math.log(np.finfo(float).max) / THETA))
 # by a power of two, so that its sum of squared entries cannot overflow.
 SAFE_EXPONENT = 400
 _TINY = np.finfo(float).tiny
+# Sastre's coefficients for the degree-8 Taylor polynomial: with B^2 = B B
+# and y = B^2 (C1 B^2 + C2 B),
+#     T8(B) = (y + C3 B^2 + C4 B)(y + C5 B^2) + C6 y + B^2/2 + B + I,
+# where C2 = 1 / (2 7! C1) = 4 C1.  Adding C6 I to the first factor gives
+# C6 y + C6 C5 B^2, so the remainder is C7 B^2 + B + I with C7 = 1/2 - C5 C6.
+_C1 = 1.0 / math.sqrt(math.factorial(8))
+_C3, _C4 = 7.665265321119147e-02, 8.765009801785554e-01
+_C5, _C6 = 1.225521150112075e-01, 2.974307204847627
+_C7 = 0.5 - _C5 * _C6
 
 
 def _square(matrix) -> np.ndarray:
@@ -106,61 +117,83 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
     matrix of unit trace, one per matrix of a stack.  Every finite input
     gives a finite gradient; a non-finite one raises ``ValueError``.
 
-    ``scratch``, if given, is three C-contiguous float arrays of the
-    input's shape (an array of shape ``(3,) + shape`` will do) that the
-    evaluation works in; the gradient is then returned in the first, and
-    the other two are left as garbage.  Without it they are allocated.
+    ``scratch``, if given, is a C-contiguous float array of shape
+    ``(4,) + shape`` that the evaluation works in; the gradient is then
+    returned in its first matrix or stack, and the other three are left as
+    garbage.  Without it one is allocated.
     """
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     X = _square(matrix)
     if X.size == 0:  # an empty stack, or 0 x 0 matrices
         return np.zeros(X.shape)
-    S, P, T = np.empty((3,) + X.shape) if scratch is None else scratch
-    top = np.abs(X, out=S).max(axis=(-2, -1))
-    if not np.isfinite(top).all():
-        raise ValueError("matrix contains non-finite entries")
-    e = np.maximum(np.frexp(top)[1] - SAFE_EXPONENT, 0)
-    if e.any():  # scaling by 2^0 = 1 changes nothing, so skip it then
+    if scratch is None:
+        scratch = np.empty((4,) + X.shape)
+    P, A, T, U = scratch
+    _, A_diagonal, T_diagonal, U_diagonal = _diagonal(scratch)
+    # one test for the whole stack: a finite sum of squares below
+    # 2^(2 SAFE_EXPONENT) puts every entry below 2^SAFE_EXPONENT, so e = 0
+    e = 0
+    if not np.vdot(X, X) < 2.0 ** (2 * SAFE_EXPONENT):
+        top = np.abs(X, out=A).max(axis=(-2, -1))
+        if not np.isfinite(top).all():
+            raise ValueError("matrix contains non-finite entries")
+        e = np.maximum(np.frexp(top)[1] - SAFE_EXPONENT, 0)
         X = X * np.exp2(-e)[..., None, None]
-    # S = 2 (sym(X) - cI) / 2^e with c the mean eigenvalue, so the argument
-    # A = 2^(e-1) S / eps of the exponential has lambda_max(A) >= 0 and
-    # tr exp(A) >= 1.  Its size is measured in the Frobenius norm, which is
-    # submultiplicative and, on these matrices, often a bit below the 1-norm.
-    np.add(X, np.swapaxes(X, -1, -2), out=S)
-    diag = _diagonal(S)
-    diag -= (diag / S.shape[-1]).sum(axis=-1, keepdims=True)
-    squares = np.maximum(np.einsum("...ij,...ij->...", S, S), _TINY)
-    log2_norm = 0.5 * np.log2(squares) + (e - 1) - math.log2(eps)  # log2 ||A||_F
-    # exp(A) = exp(B)^(2^s) with B = A / 2^s = f S of norm at most THETA
+    # A = 2 (sym(X) - cI) / 2^e with c the mean eigenvalue, so the argument
+    # 2^(e-1) A / eps of the exponential has lambda_max >= 0 and the trace of
+    # its exponential is >= 1.  Its size is measured in the Frobenius norm,
+    # which is submultiplicative and, here, often a bit below the 1-norm.
+    np.copyto(A, np.swapaxes(X, -1, -2))
+    A += X
+    A_diagonal -= (A_diagonal / A.shape[-1]).sum(axis=-1, keepdims=True)
+    squares = np.maximum(np.einsum("...ij,...ij->...", A, A), _TINY)
+    log2_norm = 0.5 * np.log2(squares) + (e - 1) - math.log2(eps)
+    # the argument is exp(B)^(2^s) with B = A 2^(e-1-s) / eps of norm <= THETA
     s = np.maximum(0.0, np.ceil(log2_norm - math.log2(THETA))).astype(int)
     mantissa, exponent = math.frexp(eps)
-    S *= np.ldexp(1.0 / mantissa, e - 1 - s - exponent)[..., None, None]
+    # per-matrix factors are spread over a free stack before they multiply:
+    # a broadcast operand would make numpy allocate an iteration buffer
+    np.copyto(T, np.ldexp(1.0 / mantissa, (e - 1 - exponent) - s)[..., None, None])
+    A *= T
 
-    # Taylor polynomial sum_j B^j / j! by Horner's rule, highest term first
-    np.multiply(S, 1.0 / math.factorial(TAYLOR_DEGREE), out=P)
-    P_diagonal, T_diagonal = _diagonal(P), _diagonal(T)
-    P_diagonal += 1.0 / math.factorial(TAYLOR_DEGREE - 1)
-    for j in range(TAYLOR_DEGREE - 2, -1, -1):
-        np.matmul(S, P, out=T)
-        T_diagonal += 1.0 / math.factorial(j)
-        P, T, P_diagonal, T_diagonal = T, P, T_diagonal, P_diagonal
+    # the Taylor polynomial sum_j B^j / j! in Sastre's three products, with
+    # P holding B^2 at the scale that each step needs
+    np.matmul(A, A, out=P)
+    np.multiply(A, 4.0, out=T)
+    T += P
+    P *= _C1
+    np.matmul(P, T, out=U)  # y
+    np.multiply(P, _C5 / _C1, out=T)
+    T += U  # y + C5 B^2
+    P *= _C3 / _C1
+    U += P
+    P *= _C7 / _C3
+    P += A  # C7 B^2 + B
+    A *= _C4
+    U += A
+    U_diagonal += _C6  # y + C3 B^2 + C4 B + C6 I
+    np.matmul(U, T, out=A)
+    A += P
+    A_diagonal += 1.0
 
     # square matrix i s_i times; from squaring SAFE_SQUARINGS on, rescale the
     # stack every `every` squarings by powers of two to traces in [1/2, 1), so
-    # no eigenvalue exceeds 1 and the top one, >= 1/(2n), stays normal
-    every = int(math.log2(1022 / math.log2(2 * S.shape[-1])))
+    # no eigenvalue exceeds 1 and the top one, >= 1/(2n), stays normal.  The
+    # whole stack is squared every time, and a matrix past its s_i is then
+    # copied back: its extra square is bounded like any other, and discarded
+    every = int(math.log2(1022 / math.log2(2 * A.shape[-1])))
     all_active = int(s.min())
     for k in range(int(s.max())):
         if k >= SAFE_SQUARINGS and (k - SAFE_SQUARINGS) % every == 0:
-            P *= np.ldexp(1.0, -np.frexp(_diagonal(P).sum(axis=-1))[1])[..., None, None]
-        if k < all_active:
-            np.matmul(P, P, out=T)
-            P, T = T, P
-        else:
-            active = s > k
-            Q = P[active]
-            P[active] = Q @ Q
-    G = np.add(P, np.swapaxes(P, -1, -2), out=S)
-    G *= (0.5 / _diagonal(P).sum(axis=-1))[..., None, None]
-    return G
+            np.copyto(P, np.ldexp(1.0, -np.frexp(A_diagonal.sum(axis=-1))[1])[..., None, None])
+            A *= P
+        np.matmul(A, A, out=T)
+        if k >= all_active:
+            np.copyto(T, A, where=(s <= k)[..., None, None])
+        A, T, A_diagonal, T_diagonal = T, A, T_diagonal, A_diagonal
+    np.copyto(T, (0.5 / A_diagonal.sum(axis=-1))[..., None, None])
+    np.copyto(P, np.swapaxes(A, -1, -2))
+    P += A
+    P *= T
+    return P

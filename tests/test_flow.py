@@ -732,7 +732,8 @@ class TestNonUniqueOptimum:
     """min x_1 s.t. x_1 + x_2 + x_3 = 1, x >= 0: the optimal set is the face
     x_1 = 0, and its saddle points are ((0, t, 1 - t), v = 0) for t in [0, 1].
     The paper's theorem: the flow converges to one of them, and its distance
-    to every one of them does not increase."""
+    to every one of them does not increase.  A QP with a singular Q on the
+    same simplex has an edge as its optimal set."""
 
     problem = ProblemSpec(
         objective=Objective.linear([1.0, 0.0, 0.0]),
@@ -751,18 +752,40 @@ class TestNonUniqueOptimum:
     def runs(self):
         return [solve(self.problem, self.config, self.start(seed)) for seed in range(4)]
 
-    def test_limits_are_different_points_of_the_face(self, runs):
-        limits = []
+    # min (x_1 + x_2)^2 / 2 - x_1 - x_2 + x_3 on the same simplex: Q is
+    # singular, and with u = x_1 + x_2 the objective is u^2/2 - 2u + 1, so the
+    # optimal set is the edge x_1 + x_2 = 1, x_3 = 0 and the optimal value -1/2
+    singular_qp = ProblemSpec(
+        objective=Objective.quadratic([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]], [-1.0, -1.0, 1.0]),
+        A=np.ones((1, 3)),
+        b=np.ones(1),
+        set=NonnegativeOrthant(3),
+    )
+
+    def assert_different_points_of_the_face(self, problem, runs, off_face):
+        """Each run converged to a KKT point with ``x[off_face] = 0`` on the
+        simplex, and the limits are pairwise far apart beyond what the
+        tolerance leaves unresolved."""
+        tol, limits = self.config.tol, []
         for res in runs:
             x = res.final.x
             assert res.converged
-            assert kkt_residual(self.problem, res.final) <= self.config.tol
-            assert x.min() >= 0.0 and x[0] <= self.config.tol
-            assert abs(x.sum() - 1.0) <= self.config.tol
+            assert kkt_residual(problem, res.final) <= tol
+            assert x.min() >= 0.0 and x[off_face] <= tol
+            assert abs(x.sum() - 1.0) <= tol
             limits.append(x)
-        # pairwise far apart beyond what the tolerance leaves unresolved
         gaps = [np.linalg.norm(a - b) for i, a in enumerate(limits) for b in limits[i + 1 :]]
-        assert min(gaps) >= 1e3 * self.config.tol
+        assert min(gaps) >= 1e3 * tol
+        return limits
+
+    def test_limits_are_different_points_of_the_face(self, runs):
+        self.assert_different_points_of_the_face(self.problem, runs, 0)
+
+    def test_singular_quadratic_limits_are_different_points_of_the_face(self):
+        p = self.singular_qp
+        runs = [solve(p, self.config, self.start(seed)) for seed in range(4)]
+        for x in self.assert_different_points_of_the_face(p, runs, 2):
+            assert abs(p.objective.evaluate(x) + 0.5) <= self.config.tol
 
     def test_distance_to_every_saddle_does_not_increase(self, runs):
         # an Euler step x+ = P_K(x + dt F), v+ = v + dt (A x - b) adds at most

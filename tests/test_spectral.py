@@ -3,14 +3,17 @@ finite-difference consistency, the non-strict-convexity witness, and the
 scaled-and-squared gradient against the eigendecomposition and scipy's
 matrix exponential."""
 
+import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from conftest import _raw_eigh, eigh_smoothed_grad, smoothed_max_eig
-from pdflow.spectral import smoothed_max_eig_grad, symmetrize
+from pdflow.spectral import THETA, smoothed_max_eig_grad, symmetrize
 
 
 def random_symmetric(rng, n, scale=5.0):
@@ -275,12 +278,40 @@ class TestStacks:
     def test_scratch_gives_the_allocated_gradient(self, X, eps):
         # whatever the stacks held before, the gradient comes back in the first
         expected = smoothed_max_eig_grad(X, eps)
-        scratch = np.full((3,) + X.shape, np.nan)
+        scratch = np.full((4,) + X.shape, np.nan)
         for _ in range(2):
             G = smoothed_max_eig_grad(X, eps, scratch)
             assert np.shares_memory(G, scratch[0])
             assert np.array_equal(G, expected)
             scratch[1:] = np.inf
+
+    def test_mixed_squarings_allocate_no_stack(self):
+        # as on Example 4's graph, some matrices take 8 squarings and some 9;
+        # the partial last squaring works in the scratch.  What is left are
+        # N x N temporaries on the diagonals, far below a quarter of the
+        # stack, which a gather of the active matrices alone would exceed
+        n, eps = 32, 0.05
+        rng = np.random.default_rng(41)
+        X = np.stack([random_symmetric(rng, n) for _ in range(n)])
+        centered = X - (np.trace(X, axis1=-2, axis2=-1) / n)[:, None, None] * np.eye(n)
+        # ||centered||_F / eps = 2^(s - 1/2) THETA gives s squarings
+        squarings = np.where(np.arange(n) % 3 == 0, 9, 8)
+        X *= (eps * THETA * 2.0 ** (squarings - 0.5) / np.linalg.norm(centered, axis=(-2, -1)))[:, None, None]
+        scratch = np.empty((4,) + X.shape)
+        expected = smoothed_max_eig_grad(X, eps)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            G = smoothed_max_eig_grad(X, eps, scratch)
+            transient = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert np.array_equal(G, expected)
+        assert transient < X.nbytes / 4
 
     def test_symmetrize_stack(self):
         X = np.array([[[1.0, 2.0], [0.0, 3.0]], [[0.0, 4.0], [2.0, 0.0]]])
@@ -315,6 +346,21 @@ class TestScaledAndSquaredGradient:
             if np.abs(Xi).sum(axis=0).max() / eps < 700.0:  # exp(X/eps) is representable
                 E = expm(Xi / eps)
                 assert np.abs(Gi - E / np.trace(E)).max() <= 1e-12
+
+    def test_polynomial_is_the_taylor_polynomial(self):
+        # at eps = 1, X = diag(a, -a, b, -b) is its own scaled argument B, and
+        # with ||B||_F < THETA it takes no squaring: G is diag(p(B)) / tr p(B)
+        # with p(x) = sum_j x^j / j!, j <= 8, here in exact arithmetic
+        worst = 0.0
+        for radius in np.linspace(0.0, 0.999 * THETA, 21) / math.sqrt(2.0):
+            for angle in np.linspace(0.0, math.pi / 2.0, 7):
+                entries = radius * np.array([math.cos(angle), -math.cos(angle), math.sin(angle), -math.sin(angle)])
+                G = smoothed_max_eig_grad(np.diag(entries), 1.0)
+                p = [sum(Fraction(x) ** j / math.factorial(j) for j in range(9)) for x in entries]
+                expected = np.array([float(pi / sum(p)) for pi in p])
+                assert np.array_equal(G, np.diag(np.diag(G)))
+                worst = max(worst, (np.abs(np.diag(G) - expected) / np.spacing(expected)).max())
+        assert worst <= 4.0
 
     @pytest.mark.parametrize("n", [3, 10, 40])
     def test_clustered_top_eigenvalue(self, n):

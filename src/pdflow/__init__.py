@@ -39,14 +39,12 @@ from .sets import (
 from .spectral import (
     smoothed_max_eig,
     smoothed_max_eig_grad,
-    symmetrize,
 )
 from .connectivity import (
     NetworkState,
     assemble_weights,
     assembled_connectivity,
     initial_network,
-    node_matrices,
     simulate,
 )
 
@@ -73,11 +71,9 @@ __all__ = [
     "SimpleSet",
     "smoothed_max_eig",
     "smoothed_max_eig_grad",
-    "symmetrize",
     "NetworkState",
     "assemble_weights",
     "assembled_connectivity",
     "initial_network",
-    "node_matrices",
     "simulate",
 ]

@@ -5,8 +5,8 @@ file, ``connectivity`` runs the distributed connectivity maximization on a
 graph file, and ``examples`` replays the built-in presets.  Results land in
 CSV files; numbers are written with full round-trip precision.
 
-Exit codes: 0 converged, 1 stopped at the step budget, 2 bad input,
-3 divergence (dt too large).
+Exit codes: 0 converged, 1 stopped at the step budget, 2 bad input (or an
+input too large to allocate), 3 divergence (dt too large).
 """
 
 from __future__ import annotations
@@ -175,14 +175,15 @@ def _solve_config(args, defaults: SolverConfig) -> SolverConfig:
     return dataclasses.replace(defaults, **{k: v for k, v in given.items() if v is not None})
 
 
-def _finish(converged, steps, residual, objective, wall_time, outputs, lambda2=None) -> int:
-    """Print the run summary; return the run's exit code."""
+def _finish(converged, steps, last, wall_time, outputs) -> int:
+    """Print the run summary from the run's last recorded row ``last``;
+    return the run's exit code."""
     print(f"converged:      {'yes' if converged else 'no'}")
     print(f"steps:          {steps}")
-    print(f"final residual: {residual:.6e}")
-    print(f"objective:      {objective:.10g}")
-    if lambda2 is not None:
-        print(f"lambda2:        {lambda2:.10g}")
+    print(f"final residual: {last.residual:.6e}")
+    print(f"objective:      {last.objective:.10g}")
+    if hasattr(last, "lambda2"):
+        print(f"lambda2:        {last.lambda2:.10g}")
     print(f"wall time:      {wall_time:.2f} s")
     for out in outputs:
         print(f"wrote:          {out}")
@@ -203,10 +204,7 @@ def _run_solve(problem: ProblemSpec, defaults: SolverConfig, args, stem: str) ->
     elapsed = time.perf_counter() - start
     csv_path = args.output / f"{stem}_trajectory.csv"
     write_trajectory_csv(csv_path, problem, result)
-    return _finish(
-        result.converged, result.steps_taken, result.residual,
-        result.trajectory[-1].objective, elapsed, [csv_path],
-    )
+    return _finish(result.converged, result.steps_taken, result.trajectory[-1], elapsed, [csv_path])
 
 
 def _run_connectivity(
@@ -228,8 +226,7 @@ def _run_connectivity(
     write_history_csv(history_path, graph, history)
     write_weights_csv(weights_path, network)
     return _finish(
-        final.residual <= config.tol, final.round, final.residual, final.objective, elapsed,
-        [history_path, weights_path], lambda2=final.lambda2,
+        final.residual <= config.tol, final.round, final, elapsed, [history_path, weights_path]
     )
 
 
@@ -314,6 +311,6 @@ def main(argv=None) -> int:
         print(f"error: divergence: {err}", file=sys.stderr)
         print("hint: reduce --dt", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:  # MemoryError: an input too large
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

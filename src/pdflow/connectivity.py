@@ -29,7 +29,7 @@ import numpy as np
 
 from .flow import DivergenceError, SolverConfig
 from .graphs import Graph, algebraic_connectivity, weighted_laplacian
-from .sets import NonnegativeOrthant
+from .sets import NonnegativeOrthant, _frozen
 from .spectral import smoothed_max_eig, smoothed_max_eig_grad
 
 
@@ -56,10 +56,9 @@ class NetworkState:
             raise ValueError("connectivity needs at least 2 nodes")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")
-        n, B = self.graph.n, self.graph.incidence
-        for name, shape in (("mu", (n,)), ("W", B.shape), ("Z", (n, n, n)), ("v", (n,))):
-            array = np.array(getattr(self, name), dtype=float)
-            array.setflags(write=False)
+        n, owned = self.graph.n, self.graph.owned
+        for name, shape in (("mu", (n,)), ("W", owned.shape), ("Z", (n, n, n)), ("v", (n,))):
+            array = _frozen(getattr(self, name))
             if array.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
             if not np.isfinite(array).all():
@@ -67,7 +66,7 @@ class NetworkState:
             object.__setattr__(self, name, array)
         if np.any(self.W < 0.0):
             raise ValueError("W must be nonnegative")
-        if np.any(self.W[B == 0.0] != 0.0):
+        if np.any(self.W[~owned] != 0.0):
             raise ValueError("W must be zero on edges not incident to the node")
         if not np.array_equal(self.Z, np.swapaxes(self.Z, 1, 2)):
             raise ValueError("every Z_i must be symmetric")
@@ -106,12 +105,11 @@ def _require_finite(*per_node) -> None:
 def _tables(graph: Graph) -> SimpleNamespace:
     """The graph-only data a round needs, and its buffers; built once per run."""
     n, B = graph.n, graph.incidence
-    node, edge = np.nonzero(B)
+    node, edge = np.nonzero(graph.owned)
     a, b = graph.heads[edge], graph.tails[edge]
     return SimpleNamespace(
         orthant=NonnegativeOrthant(B.size),  # the flat W's set
         dW=np.empty(B.size),  # the residual's projected copy of the flat dW
-        mask=B != 0.0,  # the contributions a node owns
         w_at=node * graph.num_edges + edge,  # flat W index of each owned w_ik
         # flat X indices of its entries (i, a_k, b_k) and (i, b_k, a_k)
         off=np.stack([(node * n + a) * n + b, (node * n + b) * n + a]),
@@ -158,7 +156,7 @@ def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
     g = network.budget_violation()
     flat = G.reshape(n, n * n)
     pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
-    dW = np.where(t.mask, pairing - network.v[:, None] - g[:, None], 0.0)
+    dW = np.where(graph.owned, pairing - network.v[:, None] - g[:, None], 0.0)
     S, dZ = t.scratch[1:3]
     np.matmul(graph.laplacian, flat, out=S.reshape(n, n * n))
     # trace(S B_pq) for the symmetric basis matrix B_pq, from S + S^T, which
@@ -220,23 +218,21 @@ def assembled_connectivity(network: NetworkState) -> float:
 
 def contributions_vector(network: NetworkState) -> tuple:
     """All weight contributions in (node, edge label) lexicographic order."""
-    return tuple(network.W[network.graph.incidence != 0.0].tolist())
+    return tuple(network.W[network.graph.owned].tolist())
 
 
 def initial_network(graph: Graph, eps: float) -> NetworkState:
     """Default start: zero mu, Z and v; each node spreads its budget uniformly."""
-    mask = graph.incidence != 0.0
-    n = graph.n
-    W = mask / mask.sum(axis=1, keepdims=True)
+    n, owned = graph.n, graph.owned
+    W = owned / owned.sum(axis=1, keepdims=True)
     return NetworkState(graph, np.zeros(n), W, np.zeros((n, n, n)), np.zeros(n), eps)
 
 
 def random_network(graph: Graph, eps: float, rng: np.random.Generator) -> NetworkState:
     """Arbitrary start: normal mu, v and Z entries; uniform nonnegative contributions."""
-    mask = graph.incidence != 0.0
-    n = graph.n
+    n, owned = graph.n, graph.owned
     mu = rng.standard_normal(n)
-    W = np.where(mask, rng.uniform(0.0, 1.0, mask.shape), 0.0)
+    W = np.where(owned, rng.uniform(0.0, 1.0, owned.shape), 0.0)
     upper = np.triu(rng.standard_normal((n, n, n)))
     Z = upper + np.swapaxes(np.triu(upper, 1), 1, 2)
     return NetworkState(graph, mu, W, Z, rng.standard_normal(n), eps)
@@ -257,14 +253,18 @@ def simulate(
 
     Returns ``(final_network, history)`` where history holds
     :class:`HistoryPoint` rows every ``record_stride`` rounds plus the final
-    one, so the last row carries the final round count and residual.  Only
-    the ``dt``, ``max_steps``, ``tol`` and ``record_stride`` fields of the
-    config apply.  ``init`` supplies the starting arrays (a warm start) and
+    one, so the last row carries the final round count and residual.  The
+    rounds are Euler steps, so a config whose ``integrator`` is not
+    ``"euler"`` is refused; ``dt``, ``max_steps``, ``tol`` and
+    ``record_stride`` count and stop rounds as they do steps in ``solve``.
+    ``init`` supplies the starting arrays (a warm start) and
     is left unchanged; the rounds run at ``eps``.  The state is validated
     once, at the start, and its copy of the arrays is advanced in place.
     Raises :class:`DivergenceError` naming the round and the node once the
     state, or a node's X_i, stops being finite.
     """
+    if config.integrator != "euler":
+        raise ValueError(f"simulate runs Euler rounds only, not {config.integrator!r}")
     if init is not None and init.graph is not graph and init.graph.edges != graph.edges:
         raise ValueError("init was built for a different graph")
     network = initial_network(graph, eps) if init is None else replace(init, eps=eps)

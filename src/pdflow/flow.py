@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sets import SimpleSet
+from .sets import SimpleSet, _frozen, _integer
+from .spectral import symmetrize
 
 
 class DivergenceError(RuntimeError):
@@ -39,7 +40,7 @@ def _check_finite(name: str, array: np.ndarray) -> None:
 
 
 def _as_c(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float).copy()
+    c = _frozen(c)
     if c.ndim != 1:
         raise ValueError(f"c must be a vector, got shape {c.shape}")
     _check_finite("c", c)
@@ -64,7 +65,6 @@ class Objective:
     def linear(c) -> "Objective":
         """f(x) = c^T x."""
         c = _as_c(c)
-        c.setflags(write=False)
         return Objective(
             evaluate=lambda x: float(c @ x),
             gradient=lambda x: c,  # constant, shared read-only array
@@ -81,12 +81,11 @@ class Objective:
         _check_finite("Q", Q)
         if np.abs(Q - Q.T).max() > 1e-9 * (1.0 + np.abs(Q).max()):
             raise ValueError("Q must be symmetric")
-        Q = (Q + Q.T) / 2.0
+        Q = symmetrize(Q)  # already a private array: a copy would add one n x n at peak
+        Q.setflags(write=False)
         eigs = np.linalg.eigvalsh(Q)
         if eigs[0] < -1e-9 * (1.0 + abs(float(eigs[-1]))):
             raise ValueError("Q must be positive semidefinite")
-        Q.setflags(write=False)
-        c.setflags(write=False)
         return Objective(
             evaluate=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
             gradient=lambda x: Q @ x + c,
@@ -111,8 +110,7 @@ class ProblemSpec:
     rho: float = 1.0
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        A, b = _frozen(self.A), _frozen(self.b)
         if A.ndim != 2:
             raise ValueError("A must be a matrix")
         if A.shape[1] != self.set.dim:
@@ -128,10 +126,6 @@ class ProblemSpec:
         _check_finite("b", b)
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError("rho must be positive and finite")
-        A = A.copy()
-        b = b.copy()
-        A.setflags(write=False)
-        b.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -174,12 +168,8 @@ class FlowState:
     t: float = 0.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).copy()
-        v = np.asarray(self.v, dtype=float).copy()
-        x.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "x", _frozen(self.x))
+        object.__setattr__(self, "v", _frozen(self.v))
 
 
 @dataclass(frozen=True)
@@ -195,9 +185,9 @@ class SolverConfig:
             raise ValueError("dt must be positive and finite")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError("tol must be positive and finite")
-        if self.max_steps < 1:
+        if _integer(self.max_steps, "max_steps") < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.record_stride < 1:
+        if _integer(self.record_stride, "record_stride") < 1:
             raise ValueError("record_stride must be at least 1")
         if self.integrator not in ("euler", "heun", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
@@ -335,6 +325,15 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
     return s, k1[n:], partial(stage, s, k1), {"heun": heun, "rk4": rk4}[integrator]
 
 
+def _residual(problem: ProblemSpec, x, v, tangent) -> float:
+    """``||tangent(x, -grad f(x) - A^T v)|| + ||A x - b||``: the one formula
+    behind :func:`kkt_residual` and :func:`solve`'s stop test, which differ
+    only in the tangent-cone projection they pass."""
+    stationarity = tangent(x, -problem.objective.gradient(x) - problem.A.T.dot(v))
+    feasibility = problem.A.dot(x) - problem.b
+    return math.sqrt(stationarity.dot(stationarity)) + math.sqrt(feasibility.dot(feasibility))
+
+
 def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
     """Stationarity plus feasibility residual; zero exactly at saddle points.
 
@@ -342,17 +341,13 @@ def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
     vanishes iff the negative Lagrangian gradient lies in the normal cone of
     the set at x.
     """
-    x, v = state.x, state.v
-    g = -problem.objective.gradient(x) - problem.A.T @ v
-    stationarity = problem.set.project_tangent(x, g)
-    feasibility = problem.A @ x - problem.b
-    return float(np.linalg.norm(stationarity) + np.linalg.norm(feasibility))
+    return _residual(problem, state.x, state.v, problem.set.project_tangent)
 
 
 def _feasibility_gate(problem: ProblemSpec, tol: float):
     """``(gate0, gate1)``: the step's ``||dual||`` (see :func:`_integrator`)
     is at most ``gate0 + gate1 ||s||`` wherever ``||A.dot(x) - b||``
-    (:func:`kkt_residual`'s arithmetic) is within ``tol``.
+    (:func:`_residual`'s arithmetic) is within ``tol``.
 
     ``dual`` is ``[A, 0] s - b`` for Heun and RK4 (the field's v-slice) and
     the row ``[A, 0, -b] [x; v; 1]`` of Euler's augmented map: both are sums
@@ -379,9 +374,9 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     It stops at exactly the step where taking the same steps one at a time
     and testing :func:`kkt_residual` after each would.  One matrix-vector
     product per step feeds both the step and the stop test: the residual is
-    evaluated in full, with ``kkt_residual``'s arithmetic, only on recorded
-    steps or once the step's own ``A x - b`` admits feasibility within
-    ``tol`` (before, the sum exceeds it).  The :class:`DivergenceError`
+    evaluated in full, by :func:`kkt_residual`'s own formula, only on
+    recorded steps or once the step's own ``A x - b`` admits feasibility
+    within ``tol`` (before, the sum exceeds it).  The :class:`DivergenceError`
     names the step, the first infinite coordinate (else the first NaN) and
     the last finite residual, if any, with its step.
     """
@@ -391,9 +386,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
         raise ValueError(f"dual init must have {m} entries, got shape {v0.shape}")
     x0 = problem.set.project(init.x)
     s, dual, first, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
-    x, v = s[:n], s[n:]
-    A, AT, b = problem.A, problem.A.T, problem.b
-    grad, tangent = problem.objective.gradient, problem.set._tangent
+    x, v, tangent = s[:n], s[n:], problem.set._tangent
     dt, tol, stride, max_steps = config.dt, config.tol, config.record_stride, config.max_steps
     gate0, gate1 = _feasibility_gate(problem, tol)
     gate = gate0 + gate1 * math.sqrt(s.dot(s))
@@ -409,10 +402,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
             due = steps % stride == 0
             # `not >` lets a NaN through to the exact test
             if due or not math.sqrt(dual.dot(dual)) > gate or steps >= max_steps:
-                # kkt_residual's arithmetic; ndarray.dot is @ with less dispatch
-                r = A.dot(x) - b
-                stationarity = tangent(x, -grad(x) - AT.dot(v))
-                residual = math.sqrt(stationarity.dot(stationarity)) + math.sqrt(r.dot(r))
+                residual = _residual(problem, x, v, tangent)
                 if math.isfinite(residual):
                     finite = residual, steps
                 done = residual <= tol or steps >= max_steps

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .spectral import symmetrize
+
 # A graph whose unweighted Laplacian has its second-smallest eigenvalue
 # below this counts as disconnected (a connected graph has exactly one zero).
 _ZERO_EIG_TOL = 1e-9
@@ -42,8 +44,10 @@ class Graph:
 
     Built once and read-only: ``heads`` and ``tails``, the 0-based
     endpoints of every edge; the incidence matrix ``incidence`` (B, N x E,
-    column k - 1 is e_a - e_b for edge k = (a, b)); and the unweighted
-    Laplacian ``laplacian`` = B B^T.
+    column k - 1 is e_a - e_b for edge k = (a, b)); its boolean pattern
+    ``owned`` (node i owns the weight w_ik exactly when edge k touches i);
+    and the unweighted Laplacian ``laplacian`` = B B^T.  A graph with fewer
+    than N - 1 edges is refused as not connected before these are built.
     """
 
     def __init__(self, n: int, edges):
@@ -53,14 +57,17 @@ class Graph:
         seen = set()
         self.n = n
         self.edges = tuple(_add_edge(seen, n, int(i), int(j)) for i, j in edges)
+        if len(self.edges) < n - 1:  # a connected graph has at least n - 1 edges
+            raise ValueError("graph is not connected")
         self.heads = np.array([a - 1 for a, _ in self.edges], dtype=np.intp)
         self.tails = np.array([b - 1 for _, b in self.edges], dtype=np.intp)
         cols = np.arange(len(self.edges))
         self.incidence = np.zeros((n, len(self.edges)))
         self.incidence[self.heads, cols] = 1.0
         self.incidence[self.tails, cols] = -1.0
+        self.owned = self.incidence != 0.0
         self.laplacian = self.incidence @ self.incidence.T
-        for array in (self.heads, self.tails, self.incidence, self.laplacian):
+        for array in (self.heads, self.tails, self.incidence, self.owned, self.laplacian):
             array.setflags(write=False)
 
         if n > 1 and algebraic_connectivity(self.laplacian) < _ZERO_EIG_TOL:
@@ -74,7 +81,7 @@ class Graph:
         """Labels of the edges touching node ``i``, ascending."""
         if not 1 <= i <= self.n:
             raise ValueError(f"node {i} out of range 1..{self.n}")
-        return tuple((np.flatnonzero(self.incidence[i - 1]) + 1).tolist())
+        return tuple((np.flatnonzero(self.owned[i - 1]) + 1).tolist())
 
     def degree(self, i: int) -> int:
         return len(self.incident_edges(i))
@@ -91,6 +98,8 @@ def weighted_laplacian(graph: Graph, weights) -> np.ndarray:
         raise ValueError(
             f"expected {graph.num_edges} edge weights, got shape {weights.shape}"
         )
+    if not np.isfinite(weights).all():
+        raise ValueError("edge weights must be finite")
     if np.any(weights < 0):
         raise ValueError("edge weights must be nonnegative")
     return (graph.incidence * weights) @ graph.incidence.T
@@ -99,18 +108,19 @@ def weighted_laplacian(graph: Graph, weights) -> np.ndarray:
 def algebraic_connectivity(laplacian) -> float:
     """Second-smallest eigenvalue of a Laplacian matrix.
 
-    The input must actually be a Laplacian: symmetric, rows summing to zero
-    and positive semidefinite (both within 1e-9, scaled).
+    The input must actually be a Laplacian: finite, symmetric, rows summing
+    to zero and positive semidefinite (the last three within 1e-9, scaled).
     """
     L = np.asarray(laplacian, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 2:
         raise ValueError("expected a square matrix of order >= 2")
+    average = symmetrize(L)  # first: it refuses a non-finite entry before any arithmetic
     scale = 1.0 + float(np.abs(L).max())
     if float(np.abs(L - L.T).max()) > 1e-9 * scale:
         raise ValueError("matrix is not symmetric")
     if float(np.abs(L.sum(axis=1)).max()) > 1e-9 * scale:
         raise ValueError("matrix rows do not sum to zero")
-    eigs = np.linalg.eigvalsh(L / 2.0 + L.T / 2.0)  # halved first: no overflow near the float limit
+    eigs = np.linalg.eigvalsh(average)
     if eigs[0] < -1e-9 * scale:
         raise ValueError("matrix is not positive semidefinite")
     return float(eigs[1])

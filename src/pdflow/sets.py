@@ -27,13 +27,19 @@ ACTIVITY_RTOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; floats and bools are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _dimension(dim) -> int:
-    """``dim`` as a nonnegative int; floats and bools are refused, not truncated."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"set dimension must be an integer, got {dim!r}")
+    """``dim`` as a nonnegative int."""
+    dim = _integer(dim, "set dimension")
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
-    return int(dim)
+    return dim
 
 
 def _as_vector(x, dim: int) -> np.ndarray:
@@ -41,6 +47,13 @@ def _as_vector(x, dim: int) -> np.ndarray:
     if x.shape != (dim,):
         raise ValueError(f"expected a vector of dimension {dim}, got shape {x.shape}")
     return x
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only, C-ordered float copy of ``values``, shared with no caller."""
+    array = np.array(values, dtype=float, order="C")
+    array.setflags(write=False)
+    return array
 
 
 class SimpleSet:
@@ -108,8 +121,7 @@ class Box(SimpleSet):
     """
 
     def __init__(self, lower, upper):
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
+        lower, upper = _frozen(lower), _frozen(upper)
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError("lower and upper must be 1-d arrays of equal length")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
@@ -118,10 +130,7 @@ class Box(SimpleSet):
             raise ValueError("box requires lower <= upper componentwise")
         if np.any(lower == np.inf) or np.any(upper == -np.inf):
             raise ValueError("box bounds leave an empty coordinate range")
-        self.lower = lower
-        self.upper = upper
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
+        self.lower, self.upper = lower, upper
         self.dim = lower.size
         self._sides = tuple(
             (clamp, bound, np.where(np.isfinite(bound), ACTIVITY_RTOL * (1 + np.abs(bound)), -1.0),
@@ -171,7 +180,7 @@ class Ball(SimpleSet):
     """Euclidean ball ||x - center|| <= radius with radius > 0."""
 
     def __init__(self, center, radius: float):
-        center = np.asarray(center, dtype=float)
+        center = _frozen(center)
         if center.ndim != 1:
             raise ValueError("center must be a 1-d array")
         if not np.isfinite(center).all():
@@ -180,7 +189,6 @@ class Ball(SimpleSet):
         if not (radius > 0 and math.isfinite(radius)):
             raise ValueError("radius must be positive and finite")
         self.center = center
-        self.center.setflags(write=False)
         self.radius = radius
         self.dim = center.size
 

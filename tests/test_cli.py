@@ -371,6 +371,18 @@ class TestConnectivityCommand:
         assert main(["connectivity", str(graph_path)]) == EXIT_INPUT
         assert "not connected" in capsys.readouterr().err
 
+    def test_input_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
+        # numpy's MemoryError is a bad input (exit 2), not a traceback and
+        # exit 1, which means the step budget
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 728. TiB for an array")
+
+        monkeypatch.setattr(pdflow.connectivity, "simulate", too_large)
+        graph_path = tmp_path / "p3.txt"
+        graph_path.write_text(P3_TEXT)
+        assert main(["connectivity", str(graph_path), "--output", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: Unable to allocate 728. TiB for an array\n"
+
     def test_single_node_graph(self, tmp_path, capsys):
         graph_path = tmp_path / "one.txt"
         graph_path.write_text("1\n")

@@ -543,6 +543,24 @@ class TestSimulate:
         assert_same_state(first, second)
         assert first_hist == second_hist
 
+    @pytest.mark.parametrize("integrator", ["heun", "rk4"])
+    def test_rejects_an_integrator_other_than_euler(self, integrator):
+        # the rounds are Euler steps: an rk4 config ran them without a word
+        with pytest.raises(ValueError, match=f"^simulate runs Euler rounds only, not '{integrator}'$"):
+            simulate(P3, 1e-2, SolverConfig(max_steps=50, integrator=integrator))
+
+    def test_memory_order_of_init_does_not_matter(self):
+        # a Fortran-ordered W was kept as given, so the in-place projection
+        # of W.reshape(-1) acted on a copy and was lost
+        init = initial_network(P3, 1e-2)
+        init = dataclasses.replace(init, v=init.v + 5.0)  # drives contributions onto the bound
+        fortran = dataclasses.replace(init, W=np.asfortranarray(init.W), Z=np.asfortranarray(init.Z))
+        cfg = SolverConfig(dt=0.5, max_steps=20, tol=1e-30, record_stride=1)
+        c_order, history = simulate(P3, 1e-2, cfg, init=init)
+        f_order, _ = simulate(P3, 1e-2, cfg, init=fortran)
+        assert_same_state(c_order, f_order)
+        assert min(history[1].contributions) == 0.0  # the projection was active
+
     def test_rejects_foreign_init(self):
         cfg = SolverConfig(dt=1e-2, max_steps=10, tol=1e-6)
         init = initial_network(K2, 1e-3)

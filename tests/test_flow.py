@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import (
     STEPPERS,
@@ -135,6 +136,21 @@ class TestObjective:
             Objective.quadratic(np.eye(2), np.array([0.0, np.inf]))
         with pytest.raises(ValueError, match="c must be finite"):
             Objective.linear([1.0, np.nan])
+
+    def test_quadratic_symmetrizes_without_overflow(self):
+        # (Q + Q^T) / 2 overflows here; the checked average halves first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = Objective.quadratic([[1e308]], [0.0])
+        assert np.array_equal(f.Q, [[1e308]])
+
+    def test_keeps_read_only_copies(self):
+        Q, c = np.eye(2), np.ones(2)
+        quadratic = Objective.quadratic(Q, c)
+        for f in (quadratic, Objective.linear(c)):
+            assert not f.c.flags.writeable and not np.shares_memory(f.c, c)
+        assert not quadratic.Q.flags.writeable and not np.shares_memory(quadratic.Q, Q)
+        Q[0, 0] = c[0] = 5.0  # the caller's arrays stay writable
 
     @pytest.mark.parametrize(
         "objective,dim",
@@ -449,6 +465,11 @@ class TestKKTResidual:
                 continue
             assert kkt_residual(p, FlowState(x=x, v=v)) > 0.0
 
+    def test_misshapen_point_is_named(self):
+        # the stationarity term, whose projection checks x, comes first
+        with pytest.raises(ValueError, match=r"^expected a vector of dimension 2, got shape \(3,\)$"):
+            kkt_residual(example1_problem(), FlowState(x=np.zeros(3), v=np.zeros(1)))
+
     def test_fixed_point_iff_zero_residual(self):
         p = example1_problem()
         s = example1_saddle()
@@ -484,6 +505,16 @@ class TestSolve:
     def test_rejects_unknown_integrator(self):
         with pytest.raises(ValueError, match="^unknown integrator 'leapfrog'$"):
             SolverConfig(integrator="leapfrog")
+
+    @pytest.mark.parametrize("field", ["max_steps", "record_stride"])
+    @pytest.mark.parametrize("value", [7.5, 3.0, True, "3"])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        # neither rounded nor taken as 1
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integer_counts(self):
+        assert SolverConfig(max_steps=np.int64(5), record_stride=np.uint8(2)).max_steps == 5
 
     def test_rejects_dual_init_of_wrong_shape(self):
         init = FlowState(x=np.zeros(2), v=np.zeros(2))
@@ -752,6 +783,10 @@ class TestNonUniqueOptimum:
     def runs(self):
         return [solve(self.problem, self.config, self.start(seed)) for seed in range(4)]
 
+    @pytest.fixture(scope="class")
+    def qp_runs(self):
+        return [solve(self.singular_qp, self.config, self.start(seed)) for seed in range(4)]
+
     # min (x_1 + x_2)^2 / 2 - x_1 - x_2 + x_3 on the same simplex: Q is
     # singular, and with u = x_1 + x_2 the objective is u^2/2 - 2u + 1, so the
     # optimal set is the edge x_1 + x_2 = 1, x_3 = 0 and the optimal value -1/2
@@ -778,22 +813,20 @@ class TestNonUniqueOptimum:
         assert min(gaps) >= 1e3 * tol
         return limits
 
-    def test_limits_are_different_points_of_the_face(self, runs):
-        self.assert_different_points_of_the_face(self.problem, runs, 0)
+    def assert_distance_to_every_saddle_does_not_increase(self, problem, runs, saddle):
+        """Along each run, the distance to ``saddle(t)`` for t = 0, 1/4, 1/2,
+        1 and the run's own limit ``t = x[i] / (x[i] + x[j])``, with (i, j)
+        the two coordinates ``saddle`` varies, does not grow by more than
+        an Euler step allows.
 
-    def test_singular_quadratic_limits_are_different_points_of_the_face(self):
-        p = self.singular_qp
-        runs = [solve(p, self.config, self.start(seed)) for seed in range(4)]
-        for x in self.assert_different_points_of_the_face(p, runs, 2):
-            assert abs(p.objective.evaluate(x) + 0.5) <= self.config.tol
-
-    def test_distance_to_every_saddle_does_not_increase(self, runs):
-        # an Euler step x+ = P_K(x + dt F), v+ = v + dt (A x - b) adds at most
-        # dt^2 ||F||^2 / 2 to the half squared distance, since <F, z - z*> <= 0
-        p, dt = self.problem, self.config.dt
+        An Euler step x+ = P_K(x + dt F), v+ = v + dt (A x - b) adds at most
+        dt^2 (||F||^2 + ||r||^2) / 2 to the half squared distance, since
+        <F, z - z*> <= 0 for the monotone field."""
+        p, dt = problem, self.config.dt
+        i, j = np.flatnonzero(saddle(1.0).x != saddle(0.0).x)
         for seed, res in enumerate(runs):
-            own = res.final.x[1] / (res.final.x[1] + res.final.x[2])
-            saddles = [FlowState(x=[0.0, t, 1.0 - t], v=[0.0]) for t in (0.0, 0.25, 0.5, 1.0, own)]
+            own = res.final.x[i] / (res.final.x[i] + res.final.x[j])
+            saddles = [saddle(t) for t in (0.0, 0.25, 0.5, 1.0, own)]
             state = self.start(seed)
             state = FlowState(x=p.set.project(state.x), v=state.v)
             d_prev = [lyapunov_distance(state, z) for z in saddles]
@@ -805,6 +838,31 @@ class TestNonUniqueOptimum:
                 for a, b in zip(d_prev, d):
                     assert b <= a + slack + 1e-14 * (1.0 + a)
                 state, d_prev = nxt, d
+
+    def test_limits_are_different_points_of_the_face(self, runs):
+        self.assert_different_points_of_the_face(self.problem, runs, 0)
+
+    def test_limits_reach_the_linprog_optimal_value(self, runs):
+        p = self.problem
+        lp = linprog(p.objective.c, A_eq=p.A, b_eq=p.b, bounds=(0.0, None))
+        assert lp.status == 0
+        for res in runs:
+            assert abs(p.objective.evaluate(res.final.x) - lp.fun) <= self.config.tol
+
+    def test_singular_quadratic_limits_are_different_points_of_the_face(self, qp_runs):
+        p = self.singular_qp
+        for x in self.assert_different_points_of_the_face(p, qp_runs, 2):
+            assert abs(p.objective.evaluate(x) + 0.5) <= self.config.tol
+
+    def test_distance_to_every_saddle_does_not_increase(self, runs):
+        self.assert_distance_to_every_saddle_does_not_increase(
+            self.problem, runs, lambda t: FlowState(x=[0.0, t, 1.0 - t], v=[0.0])
+        )
+
+    def test_singular_quadratic_distance_to_every_saddle_does_not_increase(self, qp_runs):
+        self.assert_distance_to_every_saddle_does_not_increase(
+            self.singular_qp, qp_runs, lambda t: FlowState(x=[t, 1.0 - t, 0.0], v=[0.0])
+        )
 
 
 class TestFeasibilityGate:

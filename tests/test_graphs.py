@@ -64,7 +64,8 @@ class TestGraph:
             assert (g.heads[k], g.tails[k]) == (i - 1, j - 1)
         edge_sum = sum(edge_matrix(g, k) for k in range(1, g.num_edges + 1))
         assert np.array_equal(g.laplacian, edge_sum)
-        for array in (g.heads, g.tails, g.incidence, g.laplacian):
+        assert np.array_equal(g.owned, g.incidence != 0.0) and g.owned.dtype == bool
+        for array in (g.heads, g.tails, g.incidence, g.owned, g.laplacian):
             assert not array.flags.writeable
 
     def test_node_out_of_range(self):
@@ -130,6 +131,12 @@ class TestWeightedLaplacian:
         with pytest.raises(ValueError):
             weighted_laplacian(P3, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        # NaN ended in LinAlgError from eigvalsh, inf in a RuntimeWarning
+        with pytest.raises(ValueError, match="^edge weights must be finite$"):
+            weighted_laplacian(P3, [bad, 1.0])
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             weighted_laplacian(P3, [1.0, -0.1])
@@ -181,6 +188,15 @@ class TestAlgebraicConnectivity:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert algebraic_connectivity(L) == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry_without_warning(self, bad):
+        # a NaN made the scale NaN, so every check passed without testing
+        # anything; an inf warned in L - L^T before the checks refused it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                algebraic_connectivity(np.array([[1.0, -1.0], [-1.0, bad]]))
 
     def test_rejects_non_laplacian(self):
         with pytest.raises(ValueError):
@@ -243,6 +259,11 @@ class TestParseGraph:
     def test_malformed_line_is_named(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_graph(text)
+
+    def test_too_few_edges_fail_before_the_incidence_is_built(self):
+        # 10^7 nodes with one edge: the N x N Laplacian would need 728 TiB
+        with pytest.raises(ValueError, match="^graph is not connected$"):
+            parse_graph("10000000\n1 2\n")
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):

@@ -352,6 +352,17 @@ class TestValidation:
     def test_numpy_integer_dimension(self, cls):
         assert cls(np.int64(3)).dim == 3 and cls(np.uint8(0)).dim == 0
 
+    def test_bounds_and_center_are_read_only_copies(self):
+        # the sets keep their own arrays: the caller's stay writable and unshared
+        lower, upper, center = np.zeros(2), np.ones(2), np.zeros(2)
+        box, ball = Box(lower, upper), Ball(center, 1.0)
+        for own, given in ((box.lower, lower), (box.upper, upper), (ball.center, center)):
+            assert not own.flags.writeable and not np.shares_memory(own, given)
+        lower[0], upper[0], center[0] = -1.0, 2.0, 5.0
+        assert np.array_equal(box.lower, [0.0, 0.0]) and np.array_equal(box.upper, [1.0, 1.0])
+        assert np.array_equal(ball.center, [0.0, 0.0])
+        assert np.array_equal(ball.project([3.0, 0.0]), [1.0, 0.0])
+
     def test_product_dim_is_sum(self):
         p = Product([FreeSpace(2), NonnegativeOrthant(3)])
         assert p.dim == 5

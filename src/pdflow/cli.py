@@ -95,11 +95,8 @@ def load_problem(path: Path) -> ProblemSpec:
     """Load and validate a JSON problem file."""
     try:
         document = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: {err}") from err
-    if not isinstance(document, dict):
-        raise ValueError(f"{path}: top level must be an object")
-    try:
+        if not isinstance(document, dict):
+            raise ValueError("top level must be an object")
         objective = parse_objective_descriptor(document["objective"])
         simple_set = parse_set_descriptor(document["set"])
         n = simple_set.dim
@@ -110,11 +107,13 @@ def load_problem(path: Path) -> ProblemSpec:
             raise ValueError("A must be a list of rows, one per constraint")
         A = A if A.size else A.reshape(0, n)  # [] means no constraints
         b = np.asarray(document.get("b", []), dtype=float)
-        rho = float(document.get("rho", 1.0))
+        rho = document.get("rho", 1.0)
         return ProblemSpec(objective=objective, A=A, b=b, set=simple_set, rho=rho)
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from err
-    except (TypeError, ValueError) as err:
+    except RecursionError:  # from json.loads or parse_set_descriptor
+        raise ValueError(f"{path}: nested too deeply") from None
+    except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an integer past the float range
         raise ValueError(f"{path}: {err}") from err
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .flow import DivergenceError, SolverConfig
 from .graphs import Graph, algebraic_connectivity, weighted_laplacian
-from .sets import NonnegativeOrthant, _frozen
-from .spectral import smoothed_max_eig, smoothed_max_eig_grad
+from .sets import NonnegativeOrthant, _check_finite, _frozen, _positive
+from .spectral import _diagonal, _plus_transpose, smoothed_max_eig, smoothed_max_eig_grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,15 +54,13 @@ class NetworkState:
     def __post_init__(self):
         if self.graph.n < 2:
             raise ValueError("connectivity needs at least 2 nodes")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError("eps must be positive and finite")
+        _positive(self.eps, "eps")
         n, owned = self.graph.n, self.graph.owned
         for name, shape in (("mu", (n,)), ("W", owned.shape), ("Z", (n, n, n)), ("v", (n,))):
             array = _frozen(getattr(self, name))
             if array.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-            if not np.isfinite(array).all():
-                raise ValueError(f"{name} must be finite")
+            _check_finite(name, array)
             object.__setattr__(self, name, array)
         if np.any(self.W < 0.0):
             raise ValueError("W must be nonnegative")
@@ -114,7 +112,6 @@ def _tables(graph: Graph) -> SimpleNamespace:
         # flat X indices of its entries (i, a_k, b_k) and (i, b_k, a_k)
         off=np.stack([(node * n + a) * n + b, (node * n + b) * n + a]),
         abs_bt=np.abs(B.T),  # row i of W @ |B|^T is the diagonal of sum_k w_ik E_k
-        dz_coef=0.5 * np.eye(n) - 1.0,  # dZ = dz_coef * (S + S^T)
         X=np.empty((n, n, n)),  # overwritten by every node_matrices call
         # the gradient's working stacks, G returned in the first; _fields
         # then writes L G and dZ into the second and third
@@ -129,7 +126,7 @@ def node_matrices(network: NetworkState, tables=None) -> np.ndarray:
     np.matmul(network.graph.laplacian, network.Z.reshape(n, n * n), out=X.reshape(n, n * n))
     # sum_k w_ik E_k: -w_ik at (a_k, b_k) and (b_k, a_k), sum_k w_ik |B|_pk at (p, p)
     X.reshape(-1)[t.off] += network.W.reshape(-1)[t.w_at]
-    X.reshape(n, n * n)[:, :: n + 1] -= network.W @ t.abs_bt
+    _diagonal(X)[...] -= network.W @ t.abs_bt
     X -= network.mu[:, None, None]
     return X
 
@@ -160,9 +157,10 @@ def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
     S, dZ = t.scratch[1:3]
     np.matmul(graph.laplacian, flat, out=S.reshape(n, n * n))
     # trace(S B_pq) for the symmetric basis matrix B_pq, from S + S^T, which
-    # keeps every Z_i exactly symmetric whatever order BLAS sums in
-    np.add(S, np.swapaxes(S, 1, 2), out=dZ)
-    dZ *= t.dz_coef
+    # keeps every Z_i exactly symmetric whatever order BLAS sums in: dZ is
+    # -(S + S^T) off the diagonal and half that on it
+    np.negative(_plus_transpose(S, dZ), out=dZ)
+    _diagonal(dZ)[...] *= 0.5
     return Fields(dmu=flat.sum(axis=1), dW=dW, dZ=dZ, dv=g)
 
 
@@ -178,8 +176,7 @@ def _residual_from_messages(network: NetworkState, fields: Fields, tables) -> fl
     tables.orthant._tangent(network.W.reshape(-1), dW)
     # every dZ_i is symmetric (built from S + S^T), so its upper triangle
     # holds half of its squared entries plus half of its diagonal's
-    n = len(fields.dZ)
-    dz, diag = fields.dZ.reshape(-1), fields.dZ.reshape(n, n * n)[:, :: n + 1]
+    dz, diag = fields.dZ.reshape(-1), _diagonal(fields.dZ)
     sq = fields.dmu @ fields.dmu + dW @ dW + (dz @ dz + (diag * diag).sum()) / 2.0
     return float(np.abs(fields.dv).sum() + math.sqrt(sq))
 

@@ -26,17 +26,12 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sets import SimpleSet, _frozen, _integer
-from .spectral import symmetrize
+from .sets import SimpleSet, _check_finite, _frozen, _integer, _positive
+from .spectral import _psd_average
 
 
 class DivergenceError(RuntimeError):
     """The iteration produced non-finite values, typically because dt is too large."""
-
-
-def _check_finite(name: str, array: np.ndarray) -> None:
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite")
 
 
 def _as_c(c) -> np.ndarray:
@@ -79,13 +74,8 @@ class Objective:
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != c.size:
             raise ValueError("Q must be square and match the dimension of c")
         _check_finite("Q", Q)
-        if np.abs(Q - Q.T).max() > 1e-9 * (1.0 + np.abs(Q).max()):
-            raise ValueError("Q must be symmetric")
-        Q = symmetrize(Q)  # already a private array: a copy would add one n x n at peak
-        Q.setflags(write=False)
-        eigs = np.linalg.eigvalsh(Q)
-        if eigs[0] < -1e-9 * (1.0 + abs(float(eigs[-1]))):
-            raise ValueError("Q must be positive semidefinite")
+        Q, _ = _psd_average(Q, "Q")
+        Q.setflags(write=False)  # frozen in place: a copy would add one n x n at peak
         return Objective(
             evaluate=lambda x: float(0.5 * x @ (Q @ x) + c @ x),
             gradient=lambda x: Q @ x + c,
@@ -124,8 +114,7 @@ class ProblemSpec:
             raise ValueError(f"c must have {self.set.dim} entries, got shape {np.shape(c)}")
         _check_finite("A", A)
         _check_finite("b", b)
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError("rho must be positive and finite")
+        _positive(self.rho, "rho")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -181,10 +170,8 @@ class SolverConfig:
     record_stride: int = 100
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
+        _positive(self.dt, "dt")
+        _positive(self.tol, "tol")
         if _integer(self.max_steps, "max_steps") < 1:
             raise ValueError("max_steps must be at least 1")
         if _integer(self.record_stride, "record_stride") < 1:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import symmetrize
+from .sets import _check_finite, _integer
+from .spectral import _psd_average
 
 # A graph whose unweighted Laplacian has its second-smallest eigenvalue
 # below this counts as disconnected (a connected graph has exactly one zero).
@@ -18,8 +19,9 @@ _ZERO_EIG_TOL = 1e-9
 
 def _add_edge(seen: set, n: int, i: int, j: int) -> tuple:
     """Record edge (i, j) of an n-node graph in ``seen``; return it with the
-    smaller endpoint first.  Rejects endpoints outside 1..n, self-loops and
-    edges already in ``seen``."""
+    smaller endpoint first.  Rejects endpoints that are not integers or lie
+    outside 1..n, self-loops and edges already in ``seen``."""
+    i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"edge ({i}, {j}) references a node outside 1..{n}")
     if i == j:
@@ -51,12 +53,12 @@ class Graph:
     """
 
     def __init__(self, n: int, edges):
-        n = int(n)
+        n = _integer(n, "node count")
         if n < 1:
             raise ValueError("graph needs at least one node")
         seen = set()
         self.n = n
-        self.edges = tuple(_add_edge(seen, n, int(i), int(j)) for i, j in edges)
+        self.edges = tuple(_add_edge(seen, n, i, j) for i, j in edges)
         if len(self.edges) < n - 1:  # a connected graph has at least n - 1 edges
             raise ValueError("graph is not connected")
         self.heads = np.array([a - 1 for a, _ in self.edges], dtype=np.intp)
@@ -98,8 +100,7 @@ def weighted_laplacian(graph: Graph, weights) -> np.ndarray:
         raise ValueError(
             f"expected {graph.num_edges} edge weights, got shape {weights.shape}"
         )
-    if not np.isfinite(weights).all():
-        raise ValueError("edge weights must be finite")
+    _check_finite("edge weights", weights)
     if np.any(weights < 0):
         raise ValueError("edge weights must be nonnegative")
     return (graph.incidence * weights) @ graph.incidence.T
@@ -114,15 +115,9 @@ def algebraic_connectivity(laplacian) -> float:
     L = np.asarray(laplacian, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 2:
         raise ValueError("expected a square matrix of order >= 2")
-    average = symmetrize(L)  # first: it refuses a non-finite entry before any arithmetic
-    scale = 1.0 + float(np.abs(L).max())
-    if float(np.abs(L - L.T).max()) > 1e-9 * scale:
-        raise ValueError("matrix is not symmetric")
-    if float(np.abs(L.sum(axis=1)).max()) > 1e-9 * scale:
+    _, eigs = _psd_average(L, "matrix")
+    if float(np.abs(L.sum(axis=1)).max()) > 1e-9 * (1.0 + float(np.abs(L).max())):
         raise ValueError("matrix rows do not sum to zero")
-    eigs = np.linalg.eigvalsh(average)
-    if eigs[0] < -1e-9 * scale:
-        raise ValueError("matrix is not positive semidefinite")
     return float(eigs[1])
 
 

@@ -34,6 +34,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _positive(value, name: str) -> float:
+    """``value`` as a positive, finite float; bools and non-numbers are refused, not converted."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (number and value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
+    return float(value)
+
+
+def _check_finite(name: str, array: np.ndarray) -> None:
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def _dimension(dim) -> int:
     """``dim`` as a nonnegative int."""
     dim = _integer(dim, "set dimension")
@@ -183,13 +196,9 @@ class Ball(SimpleSet):
         center = _frozen(center)
         if center.ndim != 1:
             raise ValueError("center must be a 1-d array")
-        if not np.isfinite(center).all():
-            raise ValueError("center must be finite")
-        radius = float(radius)
-        if not (radius > 0 and math.isfinite(radius)):
-            raise ValueError("radius must be positive and finite")
+        _check_finite("center", center)
         self.center = center
-        self.radius = radius
+        self.radius = _positive(radius, "radius")
         self.dim = center.size
 
     def _offset(self, x) -> tuple:

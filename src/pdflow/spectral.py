@@ -32,6 +32,8 @@ import math
 
 import numpy as np
 
+from .sets import _positive
+
 # Degree of the Taylor polynomial, and the largest norm of its argument:
 # the first omitted term, THETA^(m+1) / (m+1)!, is at most 2^-53.
 TAYLOR_DEGREE = 8
@@ -74,6 +76,32 @@ def symmetrize(matrix) -> np.ndarray:
     return X / 2.0 + np.swapaxes(X, -1, -2) / 2.0
 
 
+def _psd_average(matrix: np.ndarray, name: str) -> tuple:
+    """``(average, eigenvalues)``: the :func:`symmetrize` average of a square
+    ``matrix`` and its ascending eigenvalues.  Raises naming ``name`` unless
+    the matrix is finite, symmetric within 1e-9 (1 + max |X|) and positive
+    semidefinite within 1e-9 (1 + |lambda_max|).
+    """
+    if not np.isfinite(matrix).all():  # before any arithmetic can warn
+        raise ValueError(f"{name} contains non-finite entries")
+    # on the halves, which cannot overflow, and before the average is built
+    if np.abs(matrix / 2.0 - matrix.T / 2.0).max() > 0.5e-9 * (1.0 + np.abs(matrix).max()):
+        raise ValueError(f"{name} is not symmetric")
+    average = symmetrize(matrix)
+    eigs = np.linalg.eigvalsh(average)
+    if eigs[0] < -1e-9 * (1.0 + abs(float(eigs[-1]))):
+        raise ValueError(f"{name} is not positive semidefinite")
+    return average, eigs
+
+
+def _plus_transpose(X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = X + X^T`` for each matrix of ``X``; a transposed operand would
+    make numpy allocate an iteration buffer, a copy into ``out`` does not."""
+    np.copyto(out, np.swapaxes(X, -1, -2))
+    out += X
+    return out
+
+
 def _diagonal(X: np.ndarray) -> np.ndarray:
     """A writable view of the diagonal of each matrix of ``X`` (C-contiguous)."""
     n = X.shape[-1]
@@ -88,8 +116,7 @@ def smoothed_max_eig(matrix, eps: float):
     one matrix, an array of shape ``(...)`` for a stack.  It is +inf where
     it exceeds the largest double, and finite everywhere else.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("eps must be positive and finite")
+    _positive(eps, "eps")
     X = symmetrize(matrix)
     # the spectrum of X / 2^e and eps / 2^e, both below 2^SAFE_EXPONENT, has
     # a finite spread and value; scaling by 2^0 changes nothing, so skip it
@@ -122,8 +149,7 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
     returned in its first matrix or stack, and the other three are left as
     garbage.  Without it one is allocated.
     """
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("eps must be positive and finite")
+    _positive(eps, "eps")
     X = _square(matrix)
     if X.size == 0:  # an empty stack, or 0 x 0 matrices
         return np.zeros(X.shape)
@@ -144,8 +170,7 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
     # 2^(e-1) A / eps of the exponential has lambda_max >= 0 and the trace of
     # its exponential is >= 1.  Its size is measured in the Frobenius norm,
     # which is submultiplicative and, here, often a bit below the 1-norm.
-    np.copyto(A, np.swapaxes(X, -1, -2))
-    A += X
+    _plus_transpose(X, A)
     A_diagonal -= (A_diagonal / A.shape[-1]).sum(axis=-1, keepdims=True)
     squares = np.maximum(np.einsum("...ij,...ij->...", A, A), _TINY)
     log2_norm = 0.5 * np.log2(squares) + (e - 1) - math.log2(eps)
@@ -193,7 +218,6 @@ def smoothed_max_eig_grad(matrix, eps: float, scratch=None) -> np.ndarray:
             np.copyto(T, A, where=(s <= k)[..., None, None])
         A, T, A_diagonal, T_diagonal = T, A, T_diagonal, A_diagonal
     np.copyto(T, (0.5 / A_diagonal.sum(axis=-1))[..., None, None])
-    np.copyto(P, np.swapaxes(A, -1, -2))
-    P += A
+    _plus_transpose(A, P)
     P *= T
     return P

@@ -299,6 +299,46 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("rho", True), ("rho", "2"), ("radius", True), ("radius", "2")],
+    )
+    def test_scalar_must_be_a_json_number(self, tmp_path, capsys, key, value):
+        # neither taken as 1 nor converted from the string
+        doc = dict(EXAMPLE1_DOC, rho=value)
+        if key == "radius":
+            doc = dict(EXAMPLE1_DOC, set={"type": "ball", "center": [0.0, 0.0], "radius": value})
+        path = write_problem(tmp_path, doc)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{key} must be positive and finite" in err and "Traceback" not in err
+
+    def test_integer_past_the_float_range_is_input_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, dict(EXAMPLE1_DOC, rho=10**400))
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "too large to convert to float" in err and str(path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,  # json.loads recurses
+            '{"objective": {"type": "linear", "c": [1.0]}, "set": '
+            + '{"type": "product", "components": [' * 300
+            + '{"type": "free", "dim": 1}'
+            + "]}" * 300
+            + "}",  # json.loads reads it; parse_set_descriptor recurses
+        ],
+        ids=["json", "product"],
+    )
+    def test_deeply_nested_file_is_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}: nested too deeply" in err and "Traceback" not in err
+
     def test_seed_reproducible_bytes(self, tmp_path):
         path = write_problem(tmp_path, EXAMPLE1_DOC)
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -124,6 +124,19 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective.quadratic(np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros(2))
 
+    def test_quadratic_rejects_asymmetric_entries_near_float_limit_without_warning(self):
+        # Q - Q^T overflowed here and warned before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Q is not symmetric"):
+                Objective.quadratic([[0.0, 1e308], [-1e308, 0.0]], [0.0, 0.0])
+
+    def test_quadratic_psd_margin_scales_with_the_top_eigenvalue(self):
+        # lambda_min = -5e-9 is within 1e-9 (1 + lambda_max), lambda_max ~ 10
+        Objective.quadratic(np.ones((10, 10)) - 5e-9 * np.eye(10), np.zeros(10))
+        with pytest.raises(ValueError, match="Q is not positive semidefinite"):
+            Objective.quadratic(np.ones((10, 10)) - 2e-8 * np.eye(10), np.zeros(10))
+
     def test_quadratic_rejects_indefinite(self):
         with pytest.raises(ValueError):
             Objective.quadratic(np.array([[-1.0]]), np.zeros(1))
@@ -511,6 +524,13 @@ class TestSolve:
     def test_rejects_a_count_that_is_not_an_integer(self, field, value):
         # neither rounded nor taken as 1
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["dt", "tol"])
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_rejects_a_step_or_tolerance_that_is_not_a_number(self, field, value):
+        # neither taken as 1 nor a TypeError from the comparison
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
             SolverConfig(**{field: value})
 
     def test_numpy_integer_counts(self):

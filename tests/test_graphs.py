@@ -31,11 +31,24 @@ class TestGraph:
 
     @pytest.mark.parametrize(
         "n,edges,message",
-        [(0, [], "at least one node"), (3, [(1, 4)], r"edge \(1, 4\) references a node outside 1..3")],
+        [
+            (0, [], "at least one node"),
+            (3, [(1, 4)], r"edge \(1, 4\) references a node outside 1..3"),
+            # neither truncated nor taken as 1
+            (3.9, [(1, 2), (2, 3)], "^node count must be an integer, got 3.9$"),
+            (True, [], "^node count must be an integer, got True$"),
+            (3, [(1.5, 2), (2, 3)], "^edge endpoint must be an integer, got 1.5$"),
+            (3, [(1, 2), (True, 3)], "^edge endpoint must be an integer, got True$"),
+        ],
     )
     def test_rejects_bad_size_or_endpoint(self, n, edges, message):
         with pytest.raises(ValueError, match=message):
             Graph(n, edges)
+
+    def test_numpy_integer_size_and_endpoints(self):
+        g = Graph(np.int64(3), [(np.int64(1), 2), (2, np.uint8(3))])
+        assert g.n == 3 and g.edges == ((1, 2), (2, 3))
+        assert all(type(i) is int for i in (g.n,) + g.edges[0] + g.edges[1])
 
     def test_adjacency_structure(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -197,6 +210,13 @@ class TestAlgebraicConnectivity:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 algebraic_connectivity(np.array([[1.0, -1.0], [-1.0, bad]]))
+
+    def test_rejects_asymmetric_entries_near_float_limit_without_warning(self):
+        # L - L^T overflowed here and warned before the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                algebraic_connectivity([[1e308, -1e308], [1e308, -1e308]])
 
     def test_rejects_non_laplacian(self):
         with pytest.raises(ValueError):

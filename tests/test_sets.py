@@ -329,11 +329,14 @@ class TestValidation:
             (lambda: Box([np.inf], [np.inf]), ValueError, "empty coordinate range"),
             (lambda: Ball(center=[[0.0]], radius=1.0), ValueError, "center must be a 1-d array"),
             (lambda: Ball(center=[0.0, np.inf], radius=1.0), ValueError, "center must be finite"),
+            (lambda: Ball(center=[0.0], radius="2"), ValueError, "^radius must be positive and finite$"),
+            (lambda: Ball(center=[0.0], radius=True), ValueError, "^radius must be positive and finite$"),
             (lambda: Product([]), ValueError, "at least one component"),
             (lambda: Product([FreeSpace(1), "box"]), TypeError, "'box' is not a SimpleSet"),
         ],
         ids=[
             "box-shapes", "box-nan", "box-empty-range", "ball-center-shape", "ball-center-inf",
+            "ball-radius-string", "ball-radius-bool",
             "empty-product", "product-of-a-string",
         ],
     )

@@ -91,12 +91,26 @@ def parse_objective_descriptor(desc) -> Objective:
     raise ValueError(f"unknown objective type {kind!r}")
 
 
+def _refuse_booleans(value, key=None) -> None:
+    """Refuse a JSON boolean inside an array, which numpy would read as 1 or
+    0; ``key`` names the member that holds the array."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _refuse_booleans(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            if isinstance(item, bool):
+                raise ValueError(f"{key} holds the boolean {json.dumps(item)}; use a number")
+            _refuse_booleans(item, key)
+
+
 def load_problem(path: Path) -> ProblemSpec:
     """Load and validate a JSON problem file."""
     try:
         document = json.loads(path.read_text())
         if not isinstance(document, dict):
             raise ValueError("top level must be an object")
+        _refuse_booleans(document)
         objective = parse_objective_descriptor(document["objective"])
         simple_set = parse_set_descriptor(document["set"])
         n = simple_set.dim

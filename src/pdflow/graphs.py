@@ -7,6 +7,8 @@ outputs are reproducible across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .sets import _check_finite, _integer
@@ -116,7 +118,11 @@ def algebraic_connectivity(laplacian) -> float:
     if L.ndim != 2 or L.shape[0] != L.shape[1] or L.shape[0] < 2:
         raise ValueError("expected a square matrix of order >= 2")
     _, eigs = _psd_average(L, "matrix")
-    if float(np.abs(L.sum(axis=1)).max()) > 1e-9 * (1.0 + float(np.abs(L).max())):
+    # on L scaled by a power of two to max |L| < 1, which is exact (as is the
+    # threshold's scaling) and keeps the sums from overflowing
+    top = float(np.abs(L).max())
+    scale = 2.0 ** -math.frexp(top)[1]
+    if float(np.abs((L * scale).sum(axis=1)).max()) > 1e-9 * (scale + top * scale):
         raise ValueError("matrix rows do not sum to zero")
     return float(eigs[1])
 

@@ -400,10 +400,10 @@ def dual_field(problem: ProblemSpec, x) -> np.ndarray:
 
 def one_step(problem: ProblemSpec, state: FlowState, dt: float, integrator: str) -> FlowState:
     """One step of ``integrator`` from ``state``, with the step solve takes."""
-    s, _, first, advance = _integrator(problem, integrator, dt, state.x, state.v)
-    first()
-    advance()
-    return FlowState(x=s[: problem.dim], v=s[problem.dim :], t=state.t + dt)
+    rows, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    advance(1)
+    n, k = problem.dim, problem.dim + problem.num_constraints
+    return FlowState(x=rows[1, :n], v=rows[1, n:k], t=state.t + dt)
 
 
 euler_step = partial(one_step, integrator="euler")
@@ -442,15 +442,16 @@ def reference_steps(problem: ProblemSpec, integrator: str, dt: float, state: Flo
 
 
 def stepping(problem: ProblemSpec, integrator: str, dt: float, state: FlowState):
-    """The states after each step from ``state``: one integrator advanced in
-    place, bit for bit the iterates of :func:`one_step` repeated."""
-    s, _, first, advance = _integrator(problem, integrator, dt, state.x, state.v)
-    n, t = problem.dim, state.t
+    """The states after each step from ``state``: one integrator advanced
+    one step at a time, each step's row copied back to the start row, bit
+    for bit the iterates of :func:`one_step` repeated."""
+    rows, advance = _integrator(problem, integrator, dt, state.x, state.v)
+    n, k, t = problem.dim, problem.dim + problem.num_constraints, state.t
     while True:
-        first()
-        advance()
+        advance(1)
+        rows[0] = rows[1]
         t += dt
-        yield FlowState(x=s[:n], v=s[n:], t=t)
+        yield FlowState(x=rows[0, :n], v=rows[0, n:k], t=t)
 
 
 # ------------------------------------------------- linear saddle oracle

@@ -313,6 +313,23 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert f"{key} must be positive and finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key,edit",
+        [
+            ("c", {"objective": {"type": "linear", "c": [True, 3.0]}}),
+            ("A", {"A": [[1.0, False]]}),
+            ("b", {"b": [False]}),
+            ("lower", {"set": {"type": "box", "lower": [True, "-inf"], "upper": ["inf", "inf"]}}),
+        ],
+    )
+    def test_boolean_in_an_array_is_input_error(self, tmp_path, capsys, key, edit):
+        # numpy and float() read true as 1 and false as 0
+        path = write_problem(tmp_path, dict(EXAMPLE1_DOC, **edit))
+        assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}: {key} holds the boolean " in err and "Traceback" not in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_integer_past_the_float_range_is_input_error(self, tmp_path, capsys):
         path = write_problem(tmp_path, dict(EXAMPLE1_DOC, rho=10**400))
         assert main(["solve", str(path), "--output", str(tmp_path)]) == EXIT_INPUT

@@ -671,13 +671,14 @@ class TestSolve:
         )
         init = FlowState(x=np.zeros(5), v=np.zeros(3))
         res = solve(p, cfg, init)
-        z, dual, first, advance = _integrator(p, integrator, cfg.dt, init.x, init.v)
-        x, v = z[: p.dim], z[p.dim :]
+        rows, advance = _integrator(p, integrator, cfg.dt, init.x, init.v)
+        n, k = p.dim, p.dim + p.num_constraints
+        x, v, dual = rows[0, :n], rows[0, n:k], rows[1, k + 1 :]
         s, steps, differing = init, 0, 0
         while kkt_residual(p, s) > tol:
-            first()
+            advance(1)
             differing += not np.array_equal(dual, p.A.dot(x) - p.b)
-            advance()
+            rows[0] = rows[1]
             s, steps = FlowState(x=x, v=v), steps + 1
         assert differing > 0
         assert res.converged and res.steps_taken == steps
@@ -777,6 +778,138 @@ class TestSolve:
         assert res.trajectory[0].t == 0.0
         for point in res.trajectory:
             assert p.set.contains(point.x, tol=1e-12)
+
+
+def reference_solve(problem, config, init):
+    """``(steps, state, residual, trajectory)`` of :func:`solve`, from its
+    steps taken one at a time with :func:`kkt_residual` tested after each
+    and the same rows recorded."""
+    state = FlowState(x=problem.set.project(init.x), v=init.v, t=init.t)
+    states, steps, trajectory = stepping(problem, config.integrator, config.dt, state), 0, []
+    while True:
+        residual = kkt_residual(problem, state)
+        done = residual <= config.tol or steps >= config.max_steps
+        if steps % config.record_stride == 0 or done:
+            trajectory.append((state.t, state.x, state.v, problem.objective.evaluate(state.x), residual))
+        if done:
+            return steps, state, residual, trajectory
+        state, steps = next(states), steps + 1
+
+
+def assert_matches_reference(res, problem, config, init):
+    """Stop step, final state, residual and every trajectory row are
+    bitwise those of :func:`reference_solve`."""
+    steps, state, residual, trajectory = reference_solve(problem, config, init)
+    assert res.steps_taken == steps
+    assert res.converged == (residual <= config.tol) and res.residual == residual
+    assert np.array_equal(res.final.x, state.x) and np.array_equal(res.final.v, state.v)
+    assert res.final.t == state.t
+    assert len(res.trajectory) == len(trajectory)
+    for point, (t, x, v, objective, r) in zip(res.trajectory, trajectory):
+        assert point.t == t and np.array_equal(point.x, x) and np.array_equal(point.v, v)
+        assert point.objective == objective and point.residual == r
+
+
+class TestBlockedStepping:
+    """solve stores a block of steps, then tests them all at once: its result
+    must be the one its steps taken one at a time give, wherever in a block
+    the run stops, reaches max_steps or diverges."""
+
+    problem = example1_problem()
+    init = FlowState(x=[6.0, -2.0], v=[1.0])
+
+    @staticmethod
+    def use_blocks(monkeypatch, problem, length):
+        """Make solve store ``length`` steps per block on ``problem``."""
+        k, m = problem.dim + problem.num_constraints, problem.num_constraints
+        monkeypatch.setattr(flow, "BLOCK_BYTES", 8 * length * (k + 1 + m))
+        rows, _ = _integrator(problem, "euler", 1.0, np.zeros(problem.dim), np.zeros(m))
+        assert len(rows) == length + 1
+
+    # Example 1 from init meets tol 1e-3 at step 1595 = 55 * 29 = 58 * 27 + 29
+    # = 57 * 28 - 1 under every integrator; 7 divides none of the lengths
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    @pytest.mark.parametrize(
+        "length,row", [(55, 0), (58, 29), (57, 56)], ids=["first-row", "mid-block", "last-row"]
+    )
+    def test_stop_anywhere_in_a_later_block(self, monkeypatch, integrator, stride, length, row):
+        self.use_blocks(monkeypatch, self.problem, length)
+        config = SolverConfig(
+            dt=1e-2, max_steps=10_000, tol=1e-3, integrator=integrator, record_stride=stride
+        )
+        res = solve(self.problem, config, self.init)
+        assert res.steps_taken > length and res.steps_taken % length == row
+        assert_matches_reference(res, self.problem, config, self.init)
+
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_max_steps_mid_block(self, monkeypatch, integrator, stride):
+        self.use_blocks(monkeypatch, self.problem, 58)
+        config = SolverConfig(
+            dt=1e-2, max_steps=2 * 58 + 29, tol=1e-30, integrator=integrator, record_stride=stride
+        )
+        res = solve(self.problem, config, self.init)
+        assert not res.converged and res.steps_taken == config.max_steps
+        assert_matches_reference(res, self.problem, config, self.init)
+
+    @pytest.mark.parametrize("integrator,step", [("euler", 52), ("heun", 27), ("rk4", 14)])
+    def test_divergence_in_a_later_block(self, monkeypatch, integrator, step):
+        # every step is recorded, so every residual before the divergence is
+        # tested; the steps computed past it raise no warning, and max_steps
+        # one step past it, in the same block, does not end the run first
+        p, init = third_coordinate_problem(), FlowState(x=np.ones(3), v=np.zeros(1))
+        self.use_blocks(monkeypatch, p, 5)
+        config = SolverConfig(
+            dt=1e6, max_steps=step + 1, tol=1e-12, integrator=integrator, record_stride=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError) as err:
+                solve(p, config, init)
+        s, steps, finite = init, 0, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            states = stepping(p, integrator, config.dt, init)
+            while np.isfinite(s.x).all() and np.isfinite(s.v).all():
+                residual = kkt_residual(p, s)
+                if math.isfinite(residual):
+                    finite = residual, steps
+                s, steps = next(states), steps + 1
+        assert steps == step and step > 5 and step % 5 != 0
+        z = np.concatenate([s.x, s.v])
+        i = int(np.flatnonzero(np.isinf(z))[0])
+        assert str(err.value) == (
+            f"non-finite iterate at step {steps}; x[{i}] = {z[i]}; last finite residual "
+            f"{finite[0]:.1e} at step {finite[1]}; try a smaller dt than {config.dt:g}"
+        )
+
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
+    def test_gate_reads_each_steps_own_feasibility(self, integrator):
+        # min 0 s.t. x = 0 over x >= 0 from x = 5: Euler's dt = 1 step lands
+        # on x = 0, so A x - b falls from 5 to 0 in one step, and step 1 is
+        # the stop step though step 0's A x - b is far outside the gate
+        p = ProblemSpec(
+            objective=Objective.linear([0.0]), A=np.ones((1, 1)), b=np.zeros(1), set=NonnegativeOrthant(1)
+        )
+        config, init = SolverConfig(dt=1.0, tol=1e-9, integrator=integrator), FlowState(x=[5.0], v=[0.0])
+        res = solve(p, config, init)
+        assert res.converged and (integrator != "euler" or res.steps_taken == 1)
+        assert_matches_reference(res, p, config, init)
+
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
+    def test_no_warning_from_steps_past_the_stop(self, integrator):
+        # the start meets tol; the rest of its block overflows to inf and NaN
+        p, init = quadratic_free_problem(), FlowState(x=[1.0], v=[0.0])
+        config = SolverConfig(dt=1e6, tol=1.0, integrator=integrator)
+        rows, advance = _integrator(p, integrator, config.dt, init.x, init.v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            advance(len(rows) - 1)
+        assert np.isnan(rows).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = solve(p, config, init)
+        assert res.converged and res.steps_taken == 0
+        assert_matches_reference(res, p, config, init)
 
 
 class TestNonUniqueOptimum:
@@ -909,8 +1042,9 @@ class TestFeasibilityGate:
                 tol = math.sqrt(r.dot(r))
                 gate0, gate1 = _feasibility_gate(p, tol)
                 for integrator in ("euler", "rk4"):  # Euler's map, RK4's field
-                    _, dual, first, _ = _integrator(p, integrator, 1e-2, s[:n], s[n:])
-                    first()
+                    rows, advance = _integrator(p, integrator, 1e-2, s[:n], s[n:])
+                    advance(1)
+                    dual = rows[1, p.dim + p.num_constraints + 1 :]
                     estimate = math.sqrt(dual.dot(dual))
                     assert estimate <= gate0 + gate1 * math.sqrt(s.dot(s))
                     above += estimate > tol

@@ -218,6 +218,25 @@ class TestAlgebraicConnectivity:
             with pytest.raises(ValueError, match="not symmetric"):
                 algebraic_connectivity([[1e308, -1e308], [1e308, -1e308]])
 
+    def test_rejects_row_sums_near_float_limit_without_warning(self):
+        # symmetric and PSD, but L.sum(axis=1) overflowed and warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rows do not sum to zero"):
+                algebraic_connectivity([[1e308, 1e308], [1e308, 1e308]])
+
+    def test_row_sum_threshold_is_unchanged_by_scaling(self):
+        # the test runs on L scaled by a power of two, which is exact: a row
+        # sum just inside 1e-9 (1 + max |L|) passes, and just outside fails
+        for top in (1.0, 3.0, 1e6):
+            threshold = 1e-9 * (1.0 + top)
+            inside = np.array([[top, -top], [-top, top]])
+            inside[0, 0] += threshold / 2.0
+            assert algebraic_connectivity(inside) > 0.0
+            outside = np.array([[top, -top], [-top, top + 2.0 * threshold]])
+            with pytest.raises(ValueError, match="rows do not sum to zero"):
+                algebraic_connectivity(outside)
+
     def test_rejects_non_laplacian(self):
         with pytest.raises(ValueError):
             algebraic_connectivity(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sets import SimpleSet, _check_finite, _frozen, _integer, _positive
+from .sets import SimpleSet, _as_vector, _check_finite, _frozen, _integer, _positive
 from .spectral import _psd_average
 
 
@@ -331,11 +331,17 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
     return rows, advance
 
 
-def _residual(problem: ProblemSpec, x, v, tangent) -> float:
-    """``||tangent(x, -grad f(x) - A^T v)|| + ||A x - b||``: the one formula
-    behind :func:`kkt_residual` and :func:`solve`'s stop test, which differ
-    only in the tangent-cone projection they pass."""
-    stationarity = tangent(x, -problem.objective.gradient(x) - problem.A.T.dot(v))
+def _dual(problem: ProblemSpec, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (problem.num_constraints,):
+        raise ValueError(f"dual init must have {problem.num_constraints} entries, got shape {v.shape}")
+    return v
+
+
+def _residual(problem: ProblemSpec, x, v) -> float:
+    """``||Pi_K(x, -grad f(x) - A^T v)|| + ||A x - b||``, unchecked: the
+    one formula behind :func:`kkt_residual` and :func:`solve`'s stop test."""
+    stationarity = problem.set._tangent(x, -problem.objective.gradient(x) - problem.A.T.dot(v))
     feasibility = problem.A.dot(x) - problem.b
     return math.sqrt(stationarity.dot(stationarity)) + math.sqrt(feasibility.dot(feasibility))
 
@@ -345,34 +351,73 @@ def kkt_residual(problem: ProblemSpec, state: FlowState) -> float:
 
     Returns ||Pi_K(x, -grad f(x) - A^T v)|| + ||A x - b||.  The first term
     vanishes iff the negative Lagrangian gradient lies in the normal cone of
-    the set at x.
+    the set at x.  ``x`` must belong to the set (see
+    :meth:`SimpleSet.project_tangent`); a residual too large to represent is
+    inf.
     """
-    return _residual(problem, state.x, state.v, problem.set.project_tangent)
-
-
-def _feasibility_gate(problem: ProblemSpec, tol: float):
-    """``(gate0, gate1)``: the step's ``||dual||`` (see :func:`_integrator`)
-    is at most ``gate0 + gate1 ||s||`` wherever ``||A.dot(x) - b||``
-    (:func:`_residual`'s arithmetic) is within ``tol``.
-
-    ``dual`` is ``[A, 0] s - b`` for Heun and RK4 (the field's v-slice) and
-    the row ``[A, 0, -b] [x; v; 1]`` of Euler's augmented map: both are sums
-    of k = n + m + 1 terms.  They sum in another order than ``A.dot(x) - b``;
-    each lies within gamma_k (|A| |x| + |b|) of ``A x - b`` (gamma_k =
-    k u / (1 - k u)), so their norms differ by at most
-    2 gamma_k (||A||_F ||s|| + ||b||).  ``rel`` covers the rounding of the
-    norms themselves, summed in any order.
-    """
-    A, b, n, m = problem.A, problem.b, problem.dim, problem.num_constraints
-    ku, lu = (n + m + 1) * 2.0**-53, (n + 2) * (m + 2) * 2.0**-53
-    slack, rel = 2.0 * ku / (1.0 - ku), 1.0 + 4.0 * lu / (1.0 - lu)
-    return (tol + slack * math.sqrt(b.dot(b))) * rel, slack * float(np.linalg.norm(A)) * rel
+    x = _as_vector(state.x, problem.dim)
+    problem.set._require_member(x)
+    v = _dual(problem, state.v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _residual(problem, x, v)
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
     """Each row's Euclidean norm, in one pass; it overflows for a large
     finite row."""
     return np.sqrt(np.einsum("ij,ij->i", block, block))
+
+
+def _residual_gate(problem: ProblemSpec, tol: float):
+    """``gate(states, norms, duals)``: per row of a block, ``(estimate,
+    limit)`` such that :func:`_residual` can be within ``tol`` only where
+    ``estimate`` is not above ``limit``.  ``states`` are the rows'
+    ``s = [x; v]``, ``norms`` their ``||s||`` and ``duals`` the ``A x - b``
+    their steps computed (see :func:`_integrator`).
+
+    ``estimate`` is ``||dual||`` plus, for a folded objective, on the rows
+    where that alone is within ``limit``, the stationarity
+    ``||tangent(x, y)||`` with ``y = -(Q x + c) - A^T v``, computed for all
+    those rows at once; a callable objective's term is 0.  A row whose
+    estimate is not finite gets 0: it cannot be bounded.
+
+    ``limit`` is ``rel (tol + tiny + 2 gamma (||b|| + 8 ||c||) + 2 gamma
+    (||A||_F + 8 ||[Q, A^T]||_F) ||s||)``.  ``dual`` and ``y`` are sums of
+    at most k = n + m + 3 terms in another order than :func:`_residual`'s;
+    both orders lie within gamma (|A| |x| + |b|), resp. gamma (|Q| |x| +
+    |A^T| |v| + |c|), of the exact value (gamma = k u / (1 - k u)), so the
+    two differ by at most 2 gamma (||A||_F ||s|| + ||b||), resp.
+    2 gamma (||[Q, A^T]||_F ||s|| + ||c||).  The tangent-cone projections
+    are 1-Lipschitz in the field, a Box's is exact, and a Ball's rounded
+    direction moves each side's result by at most 6 gamma ||y||: 16 gamma
+    in all.  ``rel`` covers the norms' own rounding, summed in any order,
+    and the sum of the two; ``tiny = k 2^-500`` the underflow of products
+    and squares.
+    """
+    A, b, n, m = problem.A, problem.b, problem.dim, problem.num_constraints
+    Q, c, tangent = problem.objective.Q, problem.objective.c, problem.set._tangent
+    k, lu = n + m + 3, (n + 2) * (m + 2) * 2.0**-53
+    slack, rel = 2.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53), 1.0 + 4.0 * lu / (1.0 - lu)
+    a, q = float(np.linalg.norm(A)), 0.0 if Q is None else float(np.linalg.norm(Q))
+    gate0, gate1 = tol + k * 2.0**-500 + slack * math.sqrt(b.dot(b)), slack * a
+    if c is not None:
+        gate0 += 8.0 * slack * math.sqrt(c.dot(c))
+        gate1 += 8.0 * slack * math.hypot(q, a)
+    gate0, gate1 = gate0 * rel, gate1 * rel
+
+    def gate(states, norms, duals):
+        estimate, limit = _row_norms(duals), gate0 + gate1 * norms
+        rows = np.flatnonzero(~(estimate > limit))
+        if c is not None and rows.size:
+            y = states[rows, n:].dot(A)
+            if Q is not None:
+                y += states[rows, :n].dot(Q.T)
+            y += c
+            estimate[rows] += _row_norms(tangent(states[rows, :n], np.negative(y, out=y)))
+        estimate[~np.isfinite(estimate)] = 0.0
+        return estimate, limit
+
+    return gate
 
 
 def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveResult:
@@ -388,24 +433,25 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     buffer of rows (see :func:`_integrator`) a block at a time, each row a
     state and the ``A x - b`` its step computed.  After each block, one
     vectorized pass over the rows takes every state's and every
-    ``A x - b``'s norm and finds the first non-finite state.  The residual
-    is evaluated in full, by :func:`kkt_residual`'s own formula and in step
-    order, only on recorded steps, at ``max_steps``, or where the step's own
-    ``A x - b`` admits feasibility within ``tol`` (elsewhere the sum
-    exceeds it); the state and time of the stop step are the ones the steps
-    taken one at a time reach.  The :class:`DivergenceError` names the step,
-    the first infinite coordinate (else the first NaN) and the last finite
-    residual, if any, with its step.
+    ``A x - b``'s norm and finds the first non-finite state, and the
+    residual gate (see :func:`_residual_gate`) adds, on the rows whose
+    ``||A x - b||`` alone is within reach of ``tol``, their stationarity
+    from one product.  The residual is evaluated in full, by
+    :func:`kkt_residual`'s own formula and in step order, only on recorded
+    steps, at ``max_steps``, or where the gate's whole-residual estimate is
+    within ``tol`` plus its rounding slack (elsewhere the exact residual
+    exceeds ``tol``); the state and time of the stop step are the ones the
+    steps taken one at a time reach.  The :class:`DivergenceError` names the
+    step, the first infinite coordinate (else the first NaN) and the last
+    finite residual, if any, with its step.
     """
     n, m = problem.dim, problem.num_constraints
-    v0 = np.asarray(init.v, dtype=float)
-    if v0.shape != (m,):
-        raise ValueError(f"dual init must have {m} entries, got shape {v0.shape}")
+    v0 = _dual(problem, init.v)
     x0 = problem.set.project(init.x)
     rows, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
-    states, duals, tangent = rows[:, : n + m], rows[:, n + m + 1 :], problem.set._tangent
+    states, duals = rows[:, : n + m], rows[:, n + m + 1 :]
     dt, tol, stride, max_steps = config.dt, config.tol, config.record_stride, config.max_steps
-    gate0, gate1 = _feasibility_gate(problem, tol)
+    gate = _residual_gate(problem, tol)
     times = np.full(len(rows), dt)  # from times[0] = t, accumulate adds dt a step at a time
 
     trajectory: list[TrajectoryPoint] = []
@@ -420,10 +466,10 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
             times[0] = t
             clock, block = np.add.accumulate(times[: count + 1]), states[: count + 1]
             norms = _row_norms(block)
-            # a row is tested where the gate admits its step's A x - b (`not >`
-            # lets a NaN through), where it is due and at max_steps ...
-            gate = gate0 + gate1 * norms[:count]
-            tested = np.append(~(_row_norms(duals[1 : count + 1]) > gate), start + count >= max_steps)
+            # a row is tested where the gate admits it (`not >` lets a NaN
+            # through), where it is due and at max_steps ...
+            estimate, limit = gate(block[:count], norms[:count], duals[1 : count + 1])
+            tested = np.append(~(estimate > limit), start + count >= max_steps)
             tested[-start % stride : count : stride] = True
             # ... up to the first state that is not finite
             end = count + 1
@@ -433,7 +479,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
                     break
             for r in np.flatnonzero(tested[:end]).tolist():
                 x, v, steps = block[r, :n], block[r, n:], start + r
-                residual = _residual(problem, x, v, tangent)
+                residual = _residual(problem, x, v)
                 if math.isfinite(residual):
                     finite = residual, steps
                 done = residual <= tol or steps >= max_steps

@@ -88,12 +88,13 @@ class SimpleSet:
     def project_tangent(self, x, v) -> np.ndarray:
         """Project ``v`` onto the tangent cone of the set at ``x``.
 
-        ``x`` must belong to the set (within ``MEMBERSHIP_TOL``); a point in
-        the interior leaves ``v`` unchanged.
+        ``x`` must belong to the set (within ``MEMBERSHIP_TOL``) and ``v``
+        must be finite; a point in the interior leaves ``v`` unchanged.
         """
         x = _as_vector(x, self.dim)
         v = _as_vector(v, self.dim)
         self._require_member(x)
+        _check_finite("direction", v)
         with np.errstate(over="ignore"):
             return self._tangent(x, v.copy())
 
@@ -101,7 +102,9 @@ class SimpleSet:
         """Overwrite ``v`` with its tangent-cone projection at ``x`` and
         return it; closed form, without membership checks.
 
-        The solver calls this on iterates that are feasible by construction.
+        The solver calls this on iterates that are feasible by construction:
+        one point, or a block of rows ``(count, dim)`` of points and
+        directions, each row projected as on its own.
         """
         raise NotImplementedError
 
@@ -235,6 +238,8 @@ class Ball(SimpleSet):
             np.add(self.center, d * (self.radius / r), out=x)
 
     def _tangent(self, x, v) -> np.ndarray:
+        if x.ndim == 2:
+            return self._tangent_rows(x, v)
         d, r, scale = self._offset(x)
         if r == 0.0 or r < (self.radius - ACTIVITY_RTOL * (1.0 + self.radius)) * scale:
             return v
@@ -243,6 +248,25 @@ class Ball(SimpleSet):
         outward = float(v @ d)
         if outward > 0.0:
             v -= outward * d
+        return v
+
+    def _tangent_rows(self, x, v) -> np.ndarray:
+        """:meth:`_tangent` of each row of a block, from row norms.  A row
+        whose norm overflowed, or lies within rounding of the activity edge,
+        takes the one-point path, so every row is on the boundary exactly
+        where it is on its own; the direction may round differently."""
+        d = x - self.center
+        r = np.sqrt(np.einsum("ij,ij->i", d, d))
+        edge = self.radius - ACTIVITY_RTOL * (1.0 + self.radius)
+        decided = np.abs(r - edge) > 4.0 * (self.dim + 2) * 2.0**-53 * r
+        for i in np.flatnonzero(~decided).tolist():
+            self._tangent(x[i], v[i])
+        on = np.flatnonzero(decided & (r > edge) & (r > 0.0))
+        d = d[on] / r[on, None]
+        w = v[on]
+        outward = np.einsum("ij,ij->i", w, d)
+        w -= np.where(outward > 0.0, outward, 0.0)[:, None] * d
+        v[on] = w
         return v
 
     def __repr__(self):
@@ -272,7 +296,7 @@ class Product(SimpleSet):
 
     def _tangent(self, x, v) -> np.ndarray:
         for c, s in zip(self.components, self._slices):
-            c._tangent(x[s], v[s])
+            c._tangent(x[..., s], v[..., s])
         return v
 
     def __repr__(self):

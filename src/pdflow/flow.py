@@ -381,18 +381,20 @@ def _residual_gate(problem: ProblemSpec, tol: float):
     those rows at once; a callable objective's term is 0.  A row whose
     estimate is not finite gets 0: it cannot be bounded.
 
-    ``limit`` is ``rel (tol + tiny + 2 gamma (||b|| + 8 ||c||) + 2 gamma
-    (||A||_F + 8 ||[Q, A^T]||_F) ||s||)``.  ``dual`` and ``y`` are sums of
+    ``limit`` is ``rel (tol + tiny + 2 gamma (||b|| + 3 ||c||) + 2 gamma
+    (||A||_F + 3 ||[Q, A^T]||_F) ||s||)``.  ``dual`` and ``y`` are sums of
     at most k = n + m + 3 terms in another order than :func:`_residual`'s;
     both orders lie within gamma (|A| |x| + |b|), resp. gamma (|Q| |x| +
     |A^T| |v| + |c|), of the exact value (gamma = k u / (1 - k u)), so the
     two differ by at most 2 gamma (||A||_F ||s|| + ||b||), resp.
-    2 gamma (||[Q, A^T]||_F ||s|| + ||c||).  The tangent-cone projections
-    are 1-Lipschitz in the field, a Box's is exact, and a Ball's rounded
-    direction moves each side's result by at most 6 gamma ||y||: 16 gamma
-    in all.  ``rel`` covers the norms' own rounding, summed in any order,
-    and the sum of the two; ``tiny = k 2^-500`` the underflow of products
-    and squares.
+    2 gamma (||[Q, A^T]||_F ||s|| + ||c||).  Both sides project ``y`` with
+    the same code at the same ``x``.  A Box's projection is exact and
+    1-Lipschitz.  A Ball's uses the same rounded direction on both sides,
+    is 1-Lipschitz in exact arithmetic with it, and its dot product and
+    update round each side's result by at most 2 gamma ||y||: 6 gamma in
+    all.  ``rel`` covers the norms' own rounding, summed in any order, the
+    sum of the two and the ``1 + gamma`` of ``||y||``; ``tiny = k 2^-500``
+    the underflow of products and squares.
     """
     A, b, n, m = problem.A, problem.b, problem.dim, problem.num_constraints
     Q, c, tangent = problem.objective.Q, problem.objective.c, problem.set._tangent
@@ -401,8 +403,8 @@ def _residual_gate(problem: ProblemSpec, tol: float):
     a, q = float(np.linalg.norm(A)), 0.0 if Q is None else float(np.linalg.norm(Q))
     gate0, gate1 = tol + k * 2.0**-500 + slack * math.sqrt(b.dot(b)), slack * a
     if c is not None:
-        gate0 += 8.0 * slack * math.sqrt(c.dot(c))
-        gate1 += 8.0 * slack * math.hypot(q, a)
+        gate0 += 3.0 * slack * math.sqrt(c.dot(c))
+        gate1 += 3.0 * slack * math.hypot(q, a)
     gate0, gate1 = gate0 * rel, gate1 * rel
 
     def gate(states, norms, duals):

@@ -239,7 +239,9 @@ class Ball(SimpleSet):
 
     def _tangent(self, x, v) -> np.ndarray:
         if x.ndim == 2:
-            return self._tangent_rows(x, v)
+            for xi, vi in zip(x, v):
+                self._tangent(xi, vi)
+            return v
         d, r, scale = self._offset(x)
         if r == 0.0 or r < (self.radius - ACTIVITY_RTOL * (1.0 + self.radius)) * scale:
             return v
@@ -248,25 +250,6 @@ class Ball(SimpleSet):
         outward = float(v @ d)
         if outward > 0.0:
             v -= outward * d
-        return v
-
-    def _tangent_rows(self, x, v) -> np.ndarray:
-        """:meth:`_tangent` of each row of a block, from row norms.  A row
-        whose norm overflowed, or lies within rounding of the activity edge,
-        takes the one-point path, so every row is on the boundary exactly
-        where it is on its own; the direction may round differently."""
-        d = x - self.center
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        edge = self.radius - ACTIVITY_RTOL * (1.0 + self.radius)
-        decided = np.abs(r - edge) > 4.0 * (self.dim + 2) * 2.0**-53 * r
-        for i in np.flatnonzero(~decided).tolist():
-            self._tangent(x[i], v[i])
-        on = np.flatnonzero(decided & (r > edge) & (r > 0.0))
-        d = d[on] / r[on, None]
-        w = v[on]
-        outward = np.einsum("ij,ij->i", w, d)
-        w -= np.where(outward > 0.0, outward, 0.0)[:, None] * d
-        v[on] = w
         return v
 
     def __repr__(self):

@@ -20,6 +20,9 @@ projected vector field with every stage point re-projected onto K.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
@@ -197,28 +200,56 @@ class SolveResult:
     trajectory: list = field(default_factory=list)
 
 
-# Above this size, K s is two row blocks read in alternating order (see
-# _product).  Time of the split product over K.dot's, one BLAS thread, 2 MiB
-# of L2 per core; median of 15 interleaved runs of four products into the
-# four stage buffers:
+# Above this size, K s is two row blocks (see _product).  Time of the
+# alternating order over K.dot's, one BLAS thread, 2 MiB of L2 per core;
+# median of 15 interleaved runs of four products into the four stage buffers:
 #   0.5 MiB 1.12   1.0 MiB 1.05   1.35 MiB 1.03   2.0 MiB 0.91
 #   2.75 MiB 0.85  3.7 MiB 0.90   4.9 MiB 0.95    7.6 MiB 1.00   11-20 MiB 1.01
 # and of whole RK4 steps: 0.9 MiB 1.03-1.13, 1.35 MiB 0.93-1.01,
 # 1.6 MiB 0.96, 1.8 MiB 0.90, 2.7 MiB 0.85.
 SPLIT_BYTES = 3 << 19
 
+# Above this size, with two CPUs to run on, the two blocks are computed on
+# two cores at once (see _two_core).  Time over K.dot's of that product and
+# of the alternating order, one BLAS thread, 2 MiB of L2 per core; median
+# of 15 interleaved runs of one block of RK4 stage products (four a step, as
+# many steps as BLOCK_BYTES holds, one helper thread started per block):
+#                 1.75 MiB  2.0   2.25  2.5   2.75  3.0   3.7
+#   two cores     1.11      0.98  0.85  0.58  0.58  0.57  0.64
+#   alternating   0.98      0.92  0.85  0.82  0.82  0.77  0.82
+# and two cores alone: 0.5 MiB 3.85, 1.0 MiB 2.29, 4.9 MiB 0.68,
+# 7.6 MiB 0.65, 11 MiB 0.79, 20 MiB 0.56.  A handoff between the threads
+# costs tens of microseconds, which a K that nearly fits one core's L2 does
+# not repay.
+TWO_CORE_BYTES = 9 << 18
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on, or, where the OS cannot
+    tell (no ``os.sched_getaffinity``, as on macOS and Windows), the
+    machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
 
 def _product(K: np.ndarray):
-    """``product(s, out)``: ``out = K s``, each row bitwise ``K.dot``'s under
-    one BLAS thread.
+    """``block()``, whose ``with`` block yields ``product(s, out)``:
+    ``out = K s``, each row bitwise ``K.dot``'s under one BLAS thread.
 
-    A ``K`` above :data:`SPLIT_BYTES` is read as two row blocks, cut at a
-    multiple of 64 rows, in an order that flips on every call: the block a
-    product reads last, the next one reads first, while it is still in L2.
+    A ``K`` above :data:`SPLIT_BYTES` is cut into two row blocks at a
+    multiple of 64 rows.  Above :data:`TWO_CORE_BYTES`, in a process that
+    may run on two CPUs, each ``with`` block computes them on two cores (see
+    :func:`_two_core`).  Otherwise the blocks are read in an order that
+    flips on every call, across ``with`` blocks: the block a product reads
+    last, the next one reads first, while it is still in L2.  A ``K`` at
+    most :data:`SPLIT_BYTES` is ``K.dot``.
     """
     if K.nbytes <= SPLIT_BYTES:
-        return K.dot
+        return partial(nullcontext, K.dot)
     cut = 64 * round(len(K) / 128)
+    if K.nbytes > TWO_CORE_BYTES and _cpus() > 1:
+        return partial(_two_core, K[:cut], K[cut:])
     blocks = [(K[:cut], slice(0, cut)), (K[cut:], slice(cut, len(K)))]
 
     def product(s, out):
@@ -226,7 +257,61 @@ def _product(K: np.ndarray):
         for block, rows in blocks:
             block.dot(s, out=out[rows])
 
-    return product
+    return partial(nullcontext, product)
+
+
+@contextmanager
+def _two_core(top: np.ndarray, bottom: np.ndarray):
+    """``product(s, out)`` of ``K = [top; bottom]``, for use inside the
+    ``with`` block: the caller's thread computes ``top``'s rows and one
+    helper thread ``bottom``'s, each always into the same rows, so each
+    core keeps its half of ``K`` in its own cache.  They hand off through
+    two locks.  The helper runs under the caller's numpy error state, hands
+    any error it raises to the caller and ends with the block.
+    """
+    cut = len(top)
+    go, done = threading.Lock(), threading.Lock()
+    go.acquire()
+    done.acquire()
+    task, failure, errstate = [None, None], [], np.geterr()
+
+    def helper():  # one bottom-block product per release of go, until s is None
+        with np.errstate(**errstate):
+            while True:
+                go.acquire()
+                s, out = task
+                if s is None:
+                    return
+                try:
+                    bottom.dot(s, out=out[cut:])
+                except BaseException as error:  # raised again by the caller
+                    failure.append(error)
+                done.release()
+
+    def product(s, out):
+        task[:] = s, out
+        go.release()
+        try:
+            top.dot(s, out=out[:cut])
+        finally:
+            done.acquire()
+            error = failure.pop() if failure else None
+        if error is not None:
+            raise error
+
+    thread = threading.Thread(target=helper, name="pdflow-product", daemon=True)
+    thread.start()
+    try:
+        yield product
+    finally:
+        task[0] = None
+        try:
+            # go is open if a product was interrupted before the helper took
+            # it; the helper then takes it, finds s None and returns
+            if go.locked():
+                go.release()
+        finally:
+            thread.join()
 
 
 # Bytes of the buffer of steps that :func:`solve` stores and then tests as
@@ -261,7 +346,8 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
     tangent cone at its stage point, in place, and each stage point onto the
     set; ``dual_j`` is the first stage's ``k1[n:]``, and the final move
     writes ``s_{j+1}``.  Their stages, moves and weighted sums work in
-    buffers allocated once per call.
+    buffers allocated once per call, and each ``advance`` computes its
+    stages' ``K s`` inside one block of :func:`_product`.
     """
     n, m, project = problem.dim, problem.num_constraints, problem.set._project_in_place
     (K, g0), k = problem._kernel, n + m
@@ -291,7 +377,7 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
 
         return rows, advance
 
-    tangent, product = problem.set._tangent, _product(K)
+    tangent, block, product = problem.set._tangent, _product(K), None  # advance binds product
     u, hk, k1, k2, k3, k4 = np.empty((6, k))
 
     def stage(point, out):  # the projected field at a stage point
@@ -324,9 +410,11 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
     scheme, states = {"heun": heun, "rk4": rk4}[integrator], [row[:k] for row in rows]
 
     def advance(count):
-        for s, after, row in zip(states[:count], states[1:], rows[1:]):
-            row[k + 1 :] = stage(s, k1)[n:]
-            scheme(s, after)
+        nonlocal product
+        with block() as product:
+            for s, after, row in zip(states[:count], states[1:], rows[1:]):
+                row[k + 1 :] = stage(s, k1)[n:]
+                scheme(s, after)
 
     return rows, advance
 
@@ -335,6 +423,7 @@ def _dual(problem: ProblemSpec, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.num_constraints,):
         raise ValueError(f"dual init must have {problem.num_constraints} entries, got shape {v.shape}")
+    _check_finite("dual init", v)
     return v
 
 

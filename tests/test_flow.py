@@ -5,13 +5,16 @@ integrator orders are checked against a matrix-exponential oracle on an
 unconstrained linear saddle system.
 """
 
+import contextlib
 import dataclasses
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -418,25 +421,75 @@ class TestSteps:
             assert p.set.contains(s.x, tol=1e-12)
 
 
+def large_qp(set_=None):
+    """min |x|^2 / 2 + c^T x s.t. A x = b over [-1, 1]^520 (or ``set_``),
+    with 40 constraints: its ``K`` (2.4 MiB) is above ``TWO_CORE_BYTES``, and
+    from zero Heun and RK4 at dt 0.5 meet tol 1e-8 at step 139."""
+    rng = np.random.default_rng(63)
+    n, m = 520, 40
+    problem = ProblemSpec(
+        objective=Objective.quadratic(np.eye(n), rng.normal(size=n)),
+        A=rng.normal(size=(m, n)) / np.sqrt(n),
+        b=rng.normal(size=m),
+        set=Box(-np.ones(n), np.ones(n)) if set_ is None else set_,
+    )
+    assert problem._kernel[0].nbytes > flow.TWO_CORE_BYTES
+    return problem, FlowState(x=np.zeros(n), v=np.zeros(m))
+
+
+# Ways for the process to see its CPUs: (name, CPUs _cpus reports, patches
+# of os).  Without os.sched_getaffinity, as on macOS and Windows, _cpus
+# falls back to os.cpu_count, or to one CPU where that is None.
+CPU_VIEWS = [
+    ("two CPUs", 2, {"sched_getaffinity": lambda pid: {0, 1}}),
+    ("one CPU", 1, {"sched_getaffinity": lambda pid: {0}}),
+    ("no affinity call", 2, {"sched_getaffinity": None, "cpu_count": lambda: 2}),
+    ("no CPU count", 1, {"sched_getaffinity": None, "cpu_count": lambda: None}),
+]
+
+
+@contextlib.contextmanager
+def cpu_view(patches):
+    """``os`` with ``patches`` applied; a patch of None deletes the name."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in patches.items():
+            if value is None:
+                mp.delattr(os, name, raising=False)
+            else:
+                mp.setattr(os, name, value, raising=False)
+        yield
+
+
 def check_split_product_is_k_dot():
-    """Both block orders of the split product give ``K.dot``'s bits."""
+    """Every branch of the split product gives ``K.dot``'s bits on every
+    call: the helper thread above ``TWO_CORE_BYTES`` with two CPUs, the
+    alternating order below it or with one CPU, however the CPUs are
+    counted."""
     rng = np.random.default_rng(61)
-    for rows in (480, 700, 701, 1203):
-        K = rng.normal(size=(rows, rows))
-        assert K.nbytes > flow.SPLIT_BYTES
-        product, s = _product(K), rng.normal(size=rows)
-        want = K.dot(s).tobytes()
-        for _ in range(2):  # one call per block order
-            out = np.empty(rows)
-            product(s, out)
-            assert out.tobytes() == want, rows
+    for name, cpus, patches in CPU_VIEWS:
+        with cpu_view(patches):
+            assert flow._cpus() == cpus, name
+            for rows in (480, 560, 700, 701, 1203):
+                K = rng.normal(size=(rows, rows))
+                assert K.nbytes > flow.SPLIT_BYTES
+                helper = cpus > 1 and K.nbytes > flow.TWO_CORE_BYTES
+                threads, block = threading.active_count(), _product(K)
+                for _ in range(2):  # the order alternates across blocks too
+                    with block() as product:
+                        assert threading.active_count() == threads + helper, (name, rows)
+                        assert product != K.dot
+                        for s in rng.normal(size=(3, rows)):
+                            out = np.full(rows, np.nan)
+                            product(s, out)
+                            assert out.tobytes() == K.dot(s).tobytes(), (name, rows)
+                    assert threading.active_count() == threads
 
 
 def check_large_stage_solves_match_reference():
     """Heun and RK4 on a QP whose ``K`` is split match the plain-numpy
-    reference stage bit for bit."""
+    reference stage bit for bit, with two CPUs and with one."""
     rng = np.random.default_rng(62)
-    n, m, k = 420, 60, 140
+    n, m, k = 510, 60, 170
     M = rng.normal(size=(n, n))
     problem = ProblemSpec(
         objective=Objective.quadratic(M @ M.T / n + 0.1 * np.eye(n), rng.normal(size=n)),
@@ -444,42 +497,150 @@ def check_large_stage_solves_match_reference():
         b=rng.normal(size=m),
         set=Product([Box(-np.ones(k), np.ones(k)), Ball(np.zeros(k), 1.0), NonnegativeOrthant(k)]),
     )
-    assert problem._kernel[0].nbytes > flow.SPLIT_BYTES
+    assert problem._kernel[0].nbytes > flow.TWO_CORE_BYTES
     init = FlowState(x=problem.set.project(rng.normal(size=n)), v=rng.normal(size=m))
     for integrator in ("heun", "rk4"):
         config = SolverConfig(dt=0.05, tol=1e-300, integrator=integrator, max_steps=25)
-        final = solve(problem, config, init).final
         want = reference_steps(problem, integrator, 0.05, init, 25)
-        assert np.concatenate([final.x, final.v]).tobytes() == want.tobytes(), integrator
+        for name, _, patches in CPU_VIEWS[:2]:
+            with cpu_view(patches):
+                final = solve(problem, config, init).final
+            assert np.concatenate([final.x, final.v]).tobytes() == want.tobytes(), (integrator, name)
+
+
+def check_large_divergence_is_silent():
+    """A diverging RK4 solve with a split ``K`` raises DivergenceError and
+    no warning: the helper thread runs under the solve's error state."""
+    problem, init = large_qp(FreeSpace(520))
+    with pytest.raises(DivergenceError, match=r"^non-finite iterate at step \d+; "):
+        solve(problem, SolverConfig(dt=1e3, integrator="rk4"), init)
+
+
+def check_helper_error_reaches_the_caller():
+    """An error in the helper's block is raised by the caller's product,
+    which is not left waiting, and the next product is ``K.dot``'s again."""
+    rng = np.random.default_rng(64)
+    K, s = rng.normal(size=(600, 600)), rng.normal(size=600)
+    cut, threads = 320, threading.active_count()
+    with mock.patch.object(flow, "_cpus", lambda: 2), _product(K)() as product:
+        # out[:cut] suits the caller's block; out[cut:] is 10 rows too long
+        # for the helper's, whose dot alone raises
+        out = np.full(610, np.nan)
+        with pytest.raises(ValueError):
+            product(s, out)
+        assert out[:cut].tobytes() == K[:cut].dot(s).tobytes() and np.isnan(out[cut:]).all()
+        with pytest.raises(ValueError):  # both blocks raise: s is too short
+            product(s[:5], np.empty(600))
+        out = np.empty(600)
+        product(s, out)  # no error is left over for this product
+        assert out.tobytes() == K.dot(s).tobytes()
+    assert threading.active_count() == threads
+
+
+def run_in_child(check):
+    """Run ``check``, a function of this module, in a child Python under one
+    BLAS thread with RuntimeWarnings as errors: so that it holds whatever
+    BLAS threading this process runs with (with two threads, neither the
+    split nor ``K.dot`` is reproducible across thread counts), and so that
+    a thread left waiting fails at the timeout instead of hanging."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(path),
+    )
+    code = f"import test_flow; test_flow.{check.__name__}()"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSplitProduct:
     def test_small_kernel_is_one_product(self):
-        K = np.eye(3)
-        assert _product(K) == K.dot
+        for rows in (3, math.isqrt(flow.SPLIT_BYTES // 8)):
+            K = np.eye(rows)
+            assert K.nbytes <= flow.SPLIT_BYTES
+            with _product(K)() as product:
+                assert product == K.dot
 
     @pytest.mark.parametrize(
         "check", [check_split_product_is_k_dot, check_large_stage_solves_match_reference]
     )
     def test_bitwise_under_one_blas_thread(self, check):
-        # a child Python, so that the check holds whatever BLAS threading
-        # this process runs with; with two threads, neither the split nor
-        # K.dot is reproducible across thread counts
-        here = os.path.dirname(os.path.abspath(__file__))
-        path = [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS="1",
-            OMP_NUM_THREADS="1",
-            MKL_NUM_THREADS="1",
-            PYTHONPATH=os.pathsep.join(path),
+        run_in_child(check)
+
+    @pytest.mark.parametrize(
+        "check", [check_large_divergence_is_silent, check_helper_error_reaches_the_caller]
+    )
+    def test_helper_thread_fails_safe(self, check):
+        run_in_child(check)
+
+    @pytest.fixture
+    def helper_counts(self, monkeypatch):
+        """The thread count inside each ``_product`` block that solve opens."""
+        counts, product = [], flow._product
+
+        def counted(K):
+            block = product(K)
+
+            @contextlib.contextmanager
+            def counting():
+                with block() as inner:
+                    counts.append(threading.active_count())
+                    yield inner
+
+            return counting
+
+        monkeypatch.setattr(flow, "_product", counted)
+        return counts
+
+    @pytest.mark.parametrize("integrator", ["heun", "rk4"])
+    @pytest.mark.parametrize("outcome", ["converges", "max_steps", "diverges"])
+    def test_no_thread_outlives_solve(self, helper_counts, integrator, outcome):
+        problem, init = large_qp(FreeSpace(520) if outcome == "diverges" else None)
+        config = SolverConfig(
+            dt=1e3 if outcome == "diverges" else 0.5,
+            tol=1e-8,
+            max_steps=50 if outcome == "max_steps" else 1_000,
+            integrator=integrator,
         )
-        code = f"import test_flow; test_flow.{check.__name__}()"
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
-            env=env, capture_output=True, text=True, timeout=120,
+        threads = threading.active_count()
+        if outcome == "diverges":
+            with pytest.raises(DivergenceError):
+                solve(problem, config, init)
+        else:
+            res = solve(problem, config, init)
+            assert res.steps_taken == (139 if outcome == "converges" else 50)
+            assert res.converged == (outcome == "converges")
+        assert threading.active_count() == threads
+        # the helper ran in every block, where the process has two CPUs
+        helper = flow._cpus() > 1
+        assert helper_counts and set(helper_counts) == {threads + helper}
+
+    def test_no_thread_outlives_a_step_that_raises(self, helper_counts):
+        # the objective is not folded into K, so its gradient runs in every
+        # stage, inside the block; its 30th call raises
+        problem, init = large_qp()
+        c, calls = problem.objective.c, []
+
+        def gradient(x):
+            calls.append(None)
+            if len(calls) == 30:
+                raise ArithmeticError("gradient failed")
+            return x + c
+
+        problem = dataclasses.replace(
+            problem, objective=Objective(problem.objective.evaluate, gradient)
         )
-        assert proc.returncode == 0, proc.stderr
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match="^gradient failed$"):
+            solve(problem, SolverConfig(dt=0.5, integrator="rk4"), init)
+        assert threading.active_count() == threads and len(helper_counts) == 1
 
 
 class TestKKTResidual:
@@ -511,6 +672,15 @@ class TestKKTResidual:
     def test_wrong_length_dual_is_named(self):
         with pytest.raises(ValueError, match=r"^dual init must have 3 entries, got shape \(2,\)$"):
             kkt_residual(example2_problem(), FlowState(x=np.zeros(5), v=np.zeros(2)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dual_is_named(self, entry):
+        # refused as input, not a nan residual; solve shares the check
+        state = FlowState(x=np.zeros(5), v=[entry, 0.0, 0.0])
+        with pytest.raises(ValueError, match="^dual init must be finite$"):
+            kkt_residual(example2_problem(), state)
+        with pytest.raises(ValueError, match="^dual init must be finite$"):
+            solve(example2_problem(), lp_config(), state)
 
     def test_fixed_point_iff_zero_residual(self):
         p = example1_problem()

@@ -273,6 +273,13 @@ def cmd_examples(args) -> int:
 
 # ---------------------------------------------------------------- entry point
 
+def seed(text: str) -> int:
+    """A ``--seed``; argparse calls one that is not an integer an "invalid seed value"."""
+    if int(text) < 0:  # numpy's generators take nonnegative seeds only
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 def _add_run_flags(parser, with_integrator=False, with_epsilon=False):
     parser.add_argument("--dt", type=float, default=None, help="integration step size")
     parser.add_argument(
@@ -281,7 +288,7 @@ def _add_run_flags(parser, with_integrator=False, with_epsilon=False):
     )
     parser.add_argument("--tol", type=float, default=None, help="residual stopping tolerance")
     parser.add_argument("--record-stride", type=int, default=None, help="record every Nth step")
-    parser.add_argument("--seed", type=int, default=None, help="random initialization seed")
+    parser.add_argument("--seed", type=seed, default=None, help="random initialization seed")
     parser.add_argument("--output", type=Path, default=Path("."), help="output directory")
     if with_integrator:
         parser.add_argument("--integrator", choices=["euler", "heun", "rk4"], default=None)

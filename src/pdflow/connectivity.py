@@ -119,42 +119,41 @@ def _tables(graph: Graph) -> SimpleNamespace:
     )
 
 
-def node_matrices(network: NetworkState, tables=None) -> np.ndarray:
-    """The stack of matrices X_i whose largest eigenvalues the nodes drive down."""
-    n, t = network.graph.n, tables or _tables(network.graph)
-    X = t.X
+def node_matrices(network: NetworkState, tables) -> np.ndarray:
+    """The stack of matrices X_i whose largest eigenvalues the nodes drive
+    down, in ``tables.X`` (``tables`` is the run's :func:`_tables`)."""
+    n, X = network.graph.n, tables.X
     np.matmul(network.graph.laplacian, network.Z.reshape(n, n * n), out=X.reshape(n, n * n))
     # sum_k w_ik E_k: -w_ik at (a_k, b_k) and (b_k, a_k), sum_k w_ik |B|_pk at (p, p)
-    X.reshape(-1)[t.off] += network.W.reshape(-1)[t.w_at]
-    _diagonal(X)[...] -= network.W @ t.abs_bt
+    X.reshape(-1)[tables.off] += network.W.reshape(-1)[tables.w_at]
+    _diagonal(X)[...] -= network.W @ tables.abs_bt
     X -= network.mu[:, None, None]
     return X
 
 
-def _broadcast(network: NetworkState, tables=None) -> np.ndarray:
+def _broadcast(network: NetworkState, tables) -> np.ndarray:
     """Phase 1 of a round: every node's smoothed-eigenvalue gradient G_i,
     in the first of the tables' scratch stacks."""
-    t = tables or _tables(network.graph)
-    X = node_matrices(network, t)
+    X = node_matrices(network, tables)
     try:
-        return smoothed_max_eig_grad(X, network.eps, t.scratch)
+        return smoothed_max_eig_grad(X, network.eps, tables.scratch)
     except ValueError:  # the gradient found a non-finite entry: name its node
         _require_finite(X)
         raise
 
 
-def _fields(network: NetworkState, G: np.ndarray, tables=None) -> Fields:
+def _fields(network: NetworkState, G: np.ndarray, tables) -> Fields:
     """Phase 2: each node's fields from its own and its neighbors' G.
 
     ``G`` may be the first of the tables' scratch stacks; ``dZ`` is the third.
     """
-    graph, t = network.graph, tables or _tables(network.graph)
+    graph = network.graph
     n, a, b = graph.n, graph.heads, graph.tails
     g = network.budget_violation()
     flat = G.reshape(n, n * n)
     pairing = G[:, a, a] + G[:, b, b] - 2.0 * G[:, a, b]  # trace(G_i E_k)
     dW = np.where(graph.owned, pairing - network.v[:, None] - g[:, None], 0.0)
-    S, dZ = t.scratch[1:3]
+    S, dZ = tables.scratch[1:3]
     np.matmul(graph.laplacian, flat, out=S.reshape(n, n * n))
     # trace(S B_pq) for the symmetric basis matrix B_pq, from S + S^T, which
     # keeps every Z_i exactly symmetric whatever order BLAS sums in: dZ is

@@ -133,19 +133,22 @@ class ProblemSpec:
     def _kernel(self):
         """``(K, g0)``: the unprojected field at ``s = [x; v]`` is ``K s + g0``
         with ``K = [[-Q - rho A^T A, -A^T], [A, 0]]`` and
-        ``g0 = [rho A^T b - c; -b]``.  Without ``(Q, c)`` the objective's
-        ``-grad f(x)`` belongs to the x-slice as well.
+        ``g0 = [rho A^T b - c; -b]``, refused where they overflow.  Without
+        ``(Q, c)`` the objective's ``-grad f(x)`` belongs to the x-slice too.
         """
         A, n, m, rho, objective = self.A, self.dim, self.num_constraints, self.rho, self.objective
         K = np.zeros((n + m, n + m))
         xx = K[:n, :n]
-        np.matmul(A.T, A, out=xx)
-        xx *= -rho
-        g0 = np.concatenate([rho * A.T.dot(self.b), -self.b])
-        if objective.c is not None:  # folded: Q x + c is the whole gradient
-            g0[:n] -= objective.c
-            if objective.Q is not None:
-                xx -= objective.Q
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(A.T, A, out=xx)
+            xx *= -rho
+            g0 = np.concatenate([rho * A.T.dot(self.b), -self.b])
+            if objective.c is not None:  # folded: Q x + c is the whole gradient
+                g0[:n] -= objective.c
+                if objective.Q is not None:
+                    xx -= objective.Q
+        if not (np.isfinite(xx).all() and np.isfinite(g0).all()):
+            raise ValueError("Q + rho A^T A or rho A^T b - c overflows; scale the problem down")
         np.negative(A.T, out=K[:n, n:])
         K[n:, :n] = A
         return K, g0
@@ -315,57 +318,50 @@ def _two_core(top: np.ndarray, bottom: np.ndarray):
 
 
 # Bytes of the buffer of steps that :func:`solve` stores and then tests as
-# one block (see :func:`_integrator`): 682 steps of Example 2's 12-float
-# rows, 10 of the 801-float rows of 600 variables and 100 constraints.
-# Testing a block costs about 20 us; at 24 KiB (3 steps a block) that made
-# the 0.6 ms RK4 steps of such a problem 3-8% slower than testing after each
-# step, and Example 2 was no faster than here (one BLAS thread).
+# one block (see :func:`_integrator`): 910 steps of Example 2's 9-float
+# rows, 11 of the 701-float rows of 600 variables and 100 constraints.
+# Testing a block costs about 20 us; at 24 KiB (3 or 4 steps a block) that
+# made the 0.6 ms RK4 steps of such a problem 3-8% slower than testing after
+# each step, and Example 2 was no faster than here (one BLAS thread).
 BLOCK_BYTES = 1 << 16
 
 
 def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
-    """``(rows, advance)``: row ``j`` of the buffer ``rows`` is
-    ``[s_j; 1; dual_{j-1}]`` with ``s_0 = [x0; v0]`` in row 0, and
-    ``advance(count)``, for ``count < len(rows)``, takes ``count`` steps from
-    row 0: step ``j`` writes ``s_{j+1}`` and ``dual_j``, the ``A x - b`` of
-    ``s_j``, into row ``j + 1``.  The buffer holds about :data:`BLOCK_BYTES`
-    and at least one step.  Steps read ``(K, g0)`` from
-    :attr:`ProblemSpec._kernel` and subtract ``grad f`` where the objective
-    is not folded into ``K``.
+    """``(rows, advance)``: row ``j`` of the buffer ``rows`` is ``[s_j; 1]``,
+    ``s_0 = [x0; v0]``, and ``advance(count)``, for ``count < len(rows)``,
+    takes ``count`` steps from row 0, step ``j`` writing ``s_{j+1}`` into
+    row ``j + 1``; no step writes the constant column.  The buffer holds
+    about :data:`BLOCK_BYTES` and at least one step.  Steps read ``(K, g0)``
+    from :attr:`ProblemSpec._kernel` and subtract ``grad f`` where the
+    objective is not folded into ``K``.
 
     Euler is proximal, ``x+ = P_K(x - dt y)``: a step is one matvec
-    ``row_{j+1} = E row_j[:k+1]`` with the augmented map
-    ``E = [[I + dt K, dt g0], [0, 1], [A, 0, -b]]``, built once per call,
-    whose top rows are the unprojected step, then the projection of
-    ``row_{j+1}``'s x-slice onto the set, in place.  ``(I + dt K) s + dt g0``
-    rounds differently from ``s + dt (K s + g0)``, so Euler iterates differ
-    from the unfused form in the last bits only; on the presets the stop
-    steps are the same.
+    ``s_{j+1} = E row_j`` with ``E = [I + dt K, dt g0]`` (k x (k+1), built
+    once per call), then the x-slice's projection onto the set, in place.
+    ``(I + dt K) s + dt g0`` rounds differently from ``s + dt (K s + g0)``,
+    so Euler iterates differ from the unfused form in the last bits only;
+    on the presets the stop steps are the same.
 
     Heun and RK4 project each stage field ``K s + g0``'s x-slice onto the
-    tangent cone at its stage point, in place, and each stage point onto the
-    set; ``dual_j`` is the first stage's ``k1[n:]``, and the final move
-    writes ``s_{j+1}``.  Their stages, moves and weighted sums work in
-    buffers allocated once per call, and each ``advance`` computes its
-    stages' ``K s`` inside one block of :func:`_product`.
+    tangent cone at its stage point, and each stage point onto the set, in
+    place; the final move writes ``s_{j+1}``.  Stages, moves and weighted
+    sums work in buffers allocated once per call, and each ``advance``
+    computes its stages' ``K s`` inside one block of :func:`_product`.
     """
     n, m, project = problem.dim, problem.num_constraints, problem.set._project_in_place
     (K, g0), k = problem._kernel, n + m
     folded, grad = problem.objective.c is not None, problem.objective.gradient
-    rows = np.zeros((max(1, BLOCK_BYTES // (8 * (k + 1 + m))) + 1, k + 1 + m))
+    rows = np.zeros((max(1, BLOCK_BYTES // (8 * (k + 1))) + 1, k + 1))
     rows[:, k] = 1.0
     rows[0, :n], rows[0, n:k] = x0, v0
+    states = [row[:k] for row in rows]
     if integrator == "euler":
-        E = np.zeros((k + 1 + m, k + 1))
-        np.multiply(K, dt, out=E[:k, :k])
-        diagonal = np.arange(k)
-        E[diagonal, diagonal] += 1.0
-        np.multiply(g0, dt, out=E[:k, k])
-        E[k, k] = 1.0
-        E[k + 1 :, :k] = K[n:]
-        E[k + 1 :, k] = g0[n:]
-        # out=row as a positional argument, which partial passes faster
-        dots = [partial(E.dot, row[: k + 1], after) for row, after in zip(rows, rows[1:])]
+        E = np.empty((k, k + 1))
+        np.multiply(K, dt, out=E[:, :k])
+        E.reshape(-1)[:: k + 2] += 1.0  # the diagonal of I + dt K
+        np.multiply(g0, dt, out=E[:, k])
+        # out=after as a positional argument, which partial passes faster
+        dots = [partial(E.dot, row, after) for row, after in zip(rows, states[1:])]
         xs = [row[:n] for row in rows]
 
         def advance(count):
@@ -407,13 +403,13 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
         np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
         move(s, np.add(k2, k4, out=k2), dt / 6.0, out)
 
-    scheme, states = {"heun": heun, "rk4": rk4}[integrator], [row[:k] for row in rows]
+    scheme = {"heun": heun, "rk4": rk4}[integrator]
 
     def advance(count):
         nonlocal product
         with block() as product:
-            for s, after, row in zip(states[:count], states[1:], rows[1:]):
-                row[k + 1 :] = stage(s, k1)[n:]
+            for s, after in zip(states[:count], states[1:]):
+                stage(s, k1)
                 scheme(s, after)
 
     return rows, advance
@@ -458,21 +454,19 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
 
 
 def _residual_gate(problem: ProblemSpec, tol: float):
-    """``gate(states, norms, duals)``: per row of a block, ``(estimate,
-    limit)`` such that :func:`_residual` can be within ``tol`` only where
-    ``estimate`` is not above ``limit``.  ``states`` are the rows'
-    ``s = [x; v]``, ``norms`` their ``||s||`` and ``duals`` the ``A x - b``
-    their steps computed (see :func:`_integrator`).
+    """``gate(states, norms)``: per row of a block of states ``s = [x; v]``
+    with norms ``||s||``, ``(estimate, limit)`` such that :func:`_residual`
+    can be within ``tol`` only where ``estimate`` is not above ``limit``.
 
-    ``estimate`` is ``||dual||`` plus, for a folded objective, on the rows
-    where that alone is within ``limit``, the stationarity
-    ``||tangent(x, y)||`` with ``y = -(Q x + c) - A^T v``, computed for all
-    those rows at once; a callable objective's term is 0.  A row whose
-    estimate is not finite gets 0: it cannot be bounded.
+    ``estimate`` is ``||A x - b||`` plus, for a folded objective and on the
+    rows where that alone is within ``limit``, the stationarity
+    ``||tangent(x, y)||`` with ``y = -(Q x + c) - A^T v``, each term for all
+    its rows at once by matrix products; a callable objective's term is 0.
+    A row whose estimate is not finite gets 0: it cannot be bounded.
 
     ``limit`` is ``rel (tol + tiny + 2 gamma (||b|| + 3 ||c||) + 2 gamma
-    (||A||_F + 3 ||[Q, A^T]||_F) ||s||)``.  ``dual`` and ``y`` are sums of
-    at most k = n + m + 3 terms in another order than :func:`_residual`'s;
+    (||A||_F + 3 ||[Q, A^T]||_F) ||s||)``.  ``A x - b`` and ``y`` are sums
+    of at most k = n + m + 3 terms in another order than :func:`_residual`'s;
     both orders lie within gamma (|A| |x| + |b|), resp. gamma (|Q| |x| +
     |A^T| |v| + |c|), of the exact value (gamma = k u / (1 - k u)), so the
     two differ by at most 2 gamma (||A||_F ||s|| + ||b||), resp.
@@ -483,21 +477,23 @@ def _residual_gate(problem: ProblemSpec, tol: float):
     update round each side's result by at most 2 gamma ||y||: 6 gamma in
     all.  ``rel`` covers the norms' own rounding, summed in any order, the
     sum of the two and the ``1 + gamma`` of ``||y||``; ``tiny = k 2^-500``
-    the underflow of products and squares.
+    the underflow of products and squares.  A norm of the data that
+    overflows makes the limit infinite, which admits every row.
     """
     A, b, n, m = problem.A, problem.b, problem.dim, problem.num_constraints
     Q, c, tangent = problem.objective.Q, problem.objective.c, problem.set._tangent
     k, lu = n + m + 3, (n + 2) * (m + 2) * 2.0**-53
     slack, rel = 2.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53), 1.0 + 4.0 * lu / (1.0 - lu)
-    a, q = float(np.linalg.norm(A)), 0.0 if Q is None else float(np.linalg.norm(Q))
-    gate0, gate1 = tol + k * 2.0**-500 + slack * math.sqrt(b.dot(b)), slack * a
-    if c is not None:
-        gate0 += 3.0 * slack * math.sqrt(c.dot(c))
-        gate1 += 3.0 * slack * math.hypot(q, a)
+    with np.errstate(over="ignore"):
+        a, q = float(np.linalg.norm(A)), 0.0 if Q is None else float(np.linalg.norm(Q))
+        gate0, gate1 = tol + k * 2.0**-500 + slack * math.sqrt(b.dot(b)), slack * a
+        if c is not None:
+            gate0 += 3.0 * slack * math.sqrt(c.dot(c))
+            gate1 += 3.0 * slack * math.hypot(q, a)
     gate0, gate1 = gate0 * rel, gate1 * rel
 
-    def gate(states, norms, duals):
-        estimate, limit = _row_norms(duals), gate0 + gate1 * norms
+    def gate(states, norms):
+        estimate, limit = _row_norms(states[:, :n].dot(A.T) - b), gate0 + gate1 * norms
         rows = np.flatnonzero(~(estimate > limit))
         if c is not None and rows.size:
             y = states[rows, n:].dot(A)
@@ -521,26 +517,23 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
 
     It stops at exactly the step where taking the same steps one at a time
     and testing :func:`kkt_residual` after each would.  The steps fill a
-    buffer of rows (see :func:`_integrator`) a block at a time, each row a
-    state and the ``A x - b`` its step computed.  After each block, one
-    vectorized pass over the rows takes every state's and every
-    ``A x - b``'s norm and finds the first non-finite state, and the
-    residual gate (see :func:`_residual_gate`) adds, on the rows whose
-    ``||A x - b||`` alone is within reach of ``tol``, their stationarity
-    from one product.  The residual is evaluated in full, by
-    :func:`kkt_residual`'s own formula and in step order, only on recorded
-    steps, at ``max_steps``, or where the gate's whole-residual estimate is
-    within ``tol`` plus its rounding slack (elsewhere the exact residual
-    exceeds ``tol``); the state and time of the stop step are the ones the
-    steps taken one at a time reach.  The :class:`DivergenceError` names the
-    step, the first infinite coordinate (else the first NaN) and the last
-    finite residual, if any, with its step.
+    buffer of states (see :func:`_integrator`) a block at a time.  After
+    each block, one vectorized pass takes every state's norm and finds the
+    first non-finite state, and :func:`_residual_gate` estimates every
+    state's residual from its own products.  The residual is evaluated in
+    full, by :func:`kkt_residual`'s own formula and in step order, only on
+    recorded steps, at ``max_steps``, or where the gate's estimate is within
+    ``tol`` plus its rounding slack (elsewhere the exact residual exceeds
+    ``tol``); the state and time of the stop step are the ones the steps
+    taken one at a time reach.  The :class:`DivergenceError` names the step,
+    the first infinite coordinate (else the first NaN) and the last finite
+    residual, if any, with its step.
     """
     n, m = problem.dim, problem.num_constraints
     v0 = _dual(problem, init.v)
     x0 = problem.set.project(init.x)
     rows, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
-    states, duals = rows[:, : n + m], rows[:, n + m + 1 :]
+    states = rows[:, : n + m]
     dt, tol, stride, max_steps = config.dt, config.tol, config.record_stride, config.max_steps
     gate = _residual_gate(problem, tol)
     times = np.full(len(rows), dt)  # from times[0] = t, accumulate adds dt a step at a time
@@ -559,7 +552,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
             norms = _row_norms(block)
             # a row is tested where the gate admits it (`not >` lets a NaN
             # through), where it is due and at max_steps ...
-            estimate, limit = gate(block[:count], norms[:count], duals[1 : count + 1])
+            estimate, limit = gate(block[:count], norms[:count])
             tested = np.append(~(estimate > limit), start + count >= max_steps)
             tested[-start % stride : count : stride] = True
             # ... up to the first state that is not finite

@@ -1,8 +1,9 @@
 """Shared test helpers: the closed-form set references, random connected
 graphs and edge matrices, a per-node reference and the finite-difference
 oracle for the distributed node fields, the eigendecomposition oracle for
-the smoothed-eigenvalue gradient, the network's objective and augmented
-Lagrangian, one simulated round, example 1's saddle point, the flow's
+the smoothed-eigenvalue gradient, the node matrices, gradients and fields
+in tables of their own, the network's objective and augmented Lagrangian,
+one simulated round, example 1's saddle point, the flow's
 Lagrangians and fields, one-step
 and in-place steppers, a plain-numpy Heun/RK4 reference, the tangent-quotient
 and Lyapunov-distance oracles, and the matrix-exponential oracle for
@@ -19,6 +20,7 @@ from pdflow.connectivity import (
     NetworkState,
     _broadcast,
     _fields,
+    _tables,
     node_matrices,
     simulate,
 )
@@ -283,21 +285,32 @@ def eigh_smoothed_grad(matrix, eps: float) -> np.ndarray:
 
 # ------------------------------------------------- network oracles
 
+def node_matrices_of(network: NetworkState) -> np.ndarray:
+    """The stack of X_i, in tables of its own (no other call overwrites it)."""
+    return node_matrices(network, _tables(network.graph))
+
+
+def broadcast_of(network: NetworkState) -> np.ndarray:
+    """Every node's gradient G_i, in tables of its own."""
+    return _broadcast(network, _tables(network.graph))
+
+
 def network_fields(network: NetworkState) -> Fields:
     """Every node's unprojected field values at the current state."""
-    return _fields(network, _broadcast(network))
+    tables = _tables(network.graph)
+    return _fields(network, _broadcast(network, tables), tables)
 
 
 def network_objective(network: NetworkState) -> float:
     """Sum over nodes of the smoothed maximum eigenvalue of X_i."""
-    return float(smoothed_max_eig(node_matrices(network), network.eps).sum())
+    return float(smoothed_max_eig(node_matrices_of(network), network.eps).sum())
 
 
 def aggregate_augmented_lagrangian(network: NetworkState) -> float:
     """Network-wide augmented Lagrangian (damping 1); finite-difference
     oracle target for the node fields."""
     g = network.budget_violation()
-    values = smoothed_max_eig(node_matrices(network), network.eps)
+    values = smoothed_max_eig(node_matrices_of(network), network.eps)
     return float(np.sum(values + network.v * g + 0.5 * g * g))
 
 

@@ -40,6 +40,20 @@ def write_problem(tmp_path, doc, name="problem.json"):
     return path
 
 
+def run_module(*args):
+    """``python -W error::RuntimeWarning -m pdflow *args`` in a child, with
+    the package found on PYTHONPATH alone, as from a checkout's src/."""
+    src = str(Path(pdflow.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pdflow", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -368,6 +382,19 @@ class TestSolveCommand:
         data2 = (out2 / "problem_trajectory.csv").read_bytes()
         assert data1 == data2
 
+    def test_kernel_overflow_is_input_error(self, tmp_path):
+        # finite data whose rho A^T A and rho A^T b overflow: no dt can
+        # help, so it is bad input, refused without a RuntimeWarning
+        doc = {
+            "objective": {"type": "linear", "c": [1]},
+            "set": {"type": "box", "lower": [0], "upper": [1]},
+            "A": [[1e300]],
+            "b": [1e300],
+        }
+        proc = run_module("solve", str(write_problem(tmp_path, doc)), "--output", str(tmp_path))
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == "error: Q + rho A^T A or rho A^T b - c overflows; scale the problem down\n"
+
     def test_different_seeds_differ(self, tmp_path):
         path = write_problem(tmp_path, EXAMPLE1_DOC)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -572,18 +599,23 @@ class TestExamplesCommand:
     def test_python_dash_m_from_checkout(self, tmp_path):
         # python -m pdflow finds the package on PYTHONPATH alone, as from a
         # checkout's src/ without installing it
-        src = str(Path(pdflow.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pdflow", "examples", "example1", "--output", str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_module("examples", "example1", "--output", str(tmp_path))
         assert proc.returncode == EXIT_CONVERGED, proc.stderr
         assert "converged:      yes" in proc.stdout
         assert (tmp_path / "example1_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["solve", "problem.json"], ["connectivity", "p3.txt"], ["examples", "example1"]])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    # numpy's generators take nonnegative seeds only; argparse names the flag
+    write_problem(tmp_path, EXAMPLE1_DOC)
+    (tmp_path / "p3.txt").write_text(P3_TEXT)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--output", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_INPUT
+    assert "error: argument --seed: must be a nonnegative integer, got -1\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirectory:

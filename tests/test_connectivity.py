@@ -12,10 +12,12 @@ import pytest
 
 from conftest import (
     aggregate_augmented_lagrangian,
+    broadcast_of,
     edge_matrix,
     network_fields,
     num_basis,
     network_objective,
+    node_matrices_of,
     one_round,
     random_connected_graph,
     reference_fields,
@@ -34,7 +36,6 @@ from pdflow.connectivity import (
     assembled_connectivity,
     contributions_vector,
     initial_network,
-    node_matrices,
     random_network,
     simulate,
 )
@@ -65,7 +66,7 @@ def k2_equilibrium(eps=1e-3):
     exactly 0.0; dmu, the sum of G's entries, is 0 up to rounding.
     """
     net = NetworkState(K2, np.full(2, 2.0), np.ones((2, 1)), np.zeros((2, 2, 2)), np.zeros(2), eps)
-    G = smoothed_max_eig_grad(node_matrices(net)[0], eps)
+    G = smoothed_max_eig_grad(node_matrices_of(net)[0], eps)
     v = float(G[0, 0] + G[1, 1] - 2.0 * G[0, 1])
     return dataclasses.replace(net, v=np.full(2, v))
 
@@ -135,17 +136,17 @@ class TestSymmetricBasis:
 
 class TestNodeMatrix:
     def test_zero_state_is_zero_matrix(self):
-        assert np.array_equal(node_matrices(zero_network(P3)), np.zeros((3, 3, 3)))
+        assert np.array_equal(node_matrices_of(zero_network(P3)), np.zeros((3, 3, 3)))
 
     def test_endpoint_with_unit_weight(self):
         net = with_node(zero_network(P3), 1, W=[1.0, 0.0])
-        assert np.array_equal(node_matrices(net)[0], -edge_matrix(P3, 1))
+        assert np.array_equal(node_matrices_of(net)[0], -edge_matrix(P3, 1))
 
     def test_equal_z_cancels(self):
         rng = np.random.default_rng(52)
         Z = rng.normal(size=(3, 3))
         net = dataclasses.replace(zero_network(P3), Z=np.stack([Z + Z.T] * 3))
-        assert np.abs(node_matrices(net)).max() <= 1e-15
+        assert np.abs(node_matrices_of(net)).max() <= 1e-15
 
     def test_gauge_shift_leaves_matrices_unchanged(self):
         # adding the same Z to every node changes nothing
@@ -153,14 +154,14 @@ class TestNodeMatrix:
         net = random_network(P3, 1e-2, rng)
         shift = rng.normal(size=(3, 3))
         shifted = dataclasses.replace(net, Z=net.Z + (shift + shift.T))
-        assert np.abs(node_matrices(net) - node_matrices(shifted)).max() <= 1e-12
+        assert np.abs(node_matrices_of(net) - node_matrices_of(shifted)).max() <= 1e-12
 
     def test_matches_per_node_reference(self):
         rng = np.random.default_rng(50)
         for _ in range(20):
             graph = random_connected_graph(rng, min_nodes=2, max_nodes=6)
             net = random_network(graph, 0.5, rng)
-            X = node_matrices(net)
+            X = node_matrices_of(net)
             for i in range(1, graph.n + 1):
                 assert np.abs(X[i - 1] - reference_node_matrix(net, i)).max() <= 1e-12
 
@@ -224,8 +225,8 @@ class TestNodeFields:
         net = random_network(P3, 1e-2, rng)
         Z3 = rng.normal(size=(3, 3))
         perturbed = with_node(net, 3, mu=99.0, v=-7.0, W=[0.0, 0.3], Z=Z3 + Z3.T)
-        G, G_p = _broadcast(net), _broadcast(perturbed)
-        assert np.array_equal(node_matrices(net)[0], node_matrices(perturbed)[0])
+        G, G_p = broadcast_of(net), broadcast_of(perturbed)
+        assert np.array_equal(node_matrices_of(net)[0], node_matrices_of(perturbed)[0])
         assert np.array_equal(G[0], G_p[0])
         before, after = network_fields(net), network_fields(perturbed)
         for name in ("dmu", "dW", "dv"):
@@ -599,6 +600,6 @@ class TestNetworkStateValidation:
     def test_message_gradient_has_unit_trace(self):
         rng = np.random.default_rng(61)
         net = random_network(P3, 1e-2, rng)
-        G = _broadcast(net)
+        G = broadcast_of(net)
         assert G.shape == (3, 3, 3)
         assert np.abs(np.trace(G, axis1=1, axis2=2) - 1.0).max() <= 1e-10

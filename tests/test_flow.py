@@ -537,6 +537,17 @@ def check_helper_error_reaches_the_caller():
     assert threading.active_count() == threads
 
 
+def check_large_euler_solve_matches_stepping():
+    """Euler on a QP whose ``E`` is 560 x 561, 14 steps a block: solve's
+    stop step, state and trajectory are those of its steps taken one at a
+    time with kkt_residual tested after each."""
+    problem, init = large_qp()
+    config = SolverConfig(dt=0.2, tol=1e-8, record_stride=25)
+    res = solve(problem, config, init)
+    assert res.converged and res.steps_taken == 336
+    assert_matches_reference(res, problem, config, init)
+
+
 def run_in_child(check):
     """Run ``check``, a function of this module, in a child Python under one
     BLAS thread with RuntimeWarnings as errors: so that it holds whatever
@@ -858,28 +869,54 @@ class TestSolve:
             assert np.isfinite(residuals[int(last[2])]), integrator
             assert last[1] == f"{residuals[int(last[2])]:.1e}", integrator
 
+    @pytest.mark.parametrize(
+        "objective,A,b",
+        [
+            (Objective.linear([1.0]), [[1e300]], [1e300]),  # rho A^T A and rho A^T b
+            (Objective.quadratic([[1e308]], [0.0]), [[1.2e154]], [0.0]),  # Q + rho A^T A
+            (Objective.linear([-1.7e308]), [[1.0]], [1.7e308]),  # rho A^T b - c
+        ],
+    )
+    def test_kernel_overflow_is_refused_without_warning(self, objective, A, b):
+        # finite data whose kernel overflows: no dt can help, so it is bad
+        # input, not a divergence
+        p = ProblemSpec(objective=objective, A=A, b=b, set=Box([0.0], [1.0]))
+        for integrator in STEPPERS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match=r"^Q \+ rho A\^T A or rho A\^T b - c overflows; scale the problem down$"):
+                    solve(p, SolverConfig(integrator=integrator), FlowState(x=[0.0], v=[0.0]))
+
     @pytest.mark.parametrize("integrator", list(STEPPERS))
-    def test_stops_at_first_step_within_tol_on_example2(self, integrator):
-        # the stop test reads A x - b off the step's first matvec (Euler's
-        # 11x9 augmented map, the 8x8 field for Heun and RK4), which sums in
-        # another order than kkt_residual's 3x5 one; the gate's rounding
-        # slack must keep the stop on the stepper's step
+    def test_stops_at_first_step_within_tol_on_example2(self, monkeypatch, integrator):
+        # the gate takes a block's A x - b from one 3x5 matrix product,
+        # which sums in another order than kkt_residual's matrix-vector
+        # product on some steps; the gate's rounding slack must keep the
+        # stop on the stepper's step
         p, tol = example2_problem(), 1e-3
+        n, m = p.dim, p.num_constraints
         cfg = SolverConfig(
             dt=1e-2, max_steps=10**6, tol=tol, record_stride=10**6, integrator=integrator
         )
         init = FlowState(x=np.zeros(5), v=np.zeros(3))
+        # per block, _row_norms sees the states (8 wide), then the gate's
+        # A x - b of all but the last (3 wide), then stationarities (5 wide)
+        normed, row_norms = [], flow._row_norms
+
+        def recording(block):
+            normed.append(block.copy())
+            return row_norms(block)
+
+        monkeypatch.setattr(flow, "_row_norms", recording)
         res = solve(p, cfg, init)
-        rows, advance = _integrator(p, integrator, cfg.dt, init.x, init.v)
-        n, k = p.dim, p.dim + p.num_constraints
-        x, v, dual = rows[0, :n], rows[0, n:k], rows[1, k + 1 :]
-        s, steps, differing = init, 0, 0
-        while kkt_residual(p, s) > tol:
-            advance(1)
-            differing += not np.array_equal(dual, p.A.dot(x) - p.b)
-            rows[0] = rows[1]
-            s, steps = FlowState(x=x, v=v), steps + 1
-        assert differing > 0
+        gated, differing = 0, 0
+        for states, feasibility in zip(normed, normed[1:]):
+            if states.shape[1] == n + m and feasibility.shape[1] == m:
+                for s, r in zip(states, feasibility):
+                    differing += not np.array_equal(r, p.A.dot(s[:n]) - p.b)
+                gated += len(feasibility)
+        assert differing > 0 and gated >= res.steps_taken
+        s, steps = iterate_until_within_tol(p, integrator, init, cfg.dt, tol)
         assert res.converged and res.steps_taken == steps
         assert np.array_equal(res.final.x, s.x)
         assert np.array_equal(res.final.v, s.v)
@@ -1023,9 +1060,9 @@ class TestBlockedStepping:
     def use_blocks(monkeypatch, problem, length):
         """Make solve store ``length`` steps per block on ``problem``."""
         k, m = problem.dim + problem.num_constraints, problem.num_constraints
-        monkeypatch.setattr(flow, "BLOCK_BYTES", 8 * length * (k + 1 + m))
+        monkeypatch.setattr(flow, "BLOCK_BYTES", 8 * length * (k + 1))
         rows, _ = _integrator(problem, "euler", 1.0, np.zeros(problem.dim), np.zeros(m))
-        assert len(rows) == length + 1
+        assert rows.shape == (length + 1, k + 1)
 
     # Example 1 from init meets tol 1e-3 at step 1595 = 55 * 29 = 58 * 27 + 29
     # = 57 * 28 - 1 under every integrator; 7 divides none of the lengths
@@ -1097,6 +1134,9 @@ class TestBlockedStepping:
         x = res.final.x
         assert x[1] == 0.5 and abs(np.linalg.norm(x[2:4]) - 0.6) <= 1e-12 and x[4] == x[5] == 0.0
         assert_matches_reference(res, p, config, init)
+
+    def test_large_euler_under_one_blas_thread(self):
+        run_in_child(check_large_euler_solve_matches_stepping)
 
     @pytest.mark.parametrize("integrator", list(STEPPERS))
     def test_gate_reads_each_steps_own_feasibility(self, integrator):
@@ -1233,25 +1273,24 @@ class TestNonUniqueOptimum:
         )
 
 
-def gate_on_first_step(problem, integrator, s, tol):
-    """``(admitted, estimate)`` of solve's residual gate on the state ``s``
-    and the ``A x - b`` its first step computes.  The gate sees them in a
-    block of 8 equal rows, as solve's blocks have many: its products then
-    round as a matrix product does, not as the exact residual's
-    matrix-vector product; ``admitted`` holds if every row passes and
-    ``estimate`` is the largest."""
-    k = problem.dim + problem.num_constraints
-    rows, advance = _integrator(problem, integrator, 1e-2, s[: problem.dim], s[problem.dim :])
-    advance(1)
-    states, duals = np.repeat(rows[:1, :k], 8, axis=0), np.repeat(rows[1:2, k + 1 :], 8, axis=0)
-    estimate, limit = _residual_gate(problem, tol)(states, _row_norms(states), duals)
+def gate_on_state(problem, s, tol, size):
+    """``(admitted, estimate)`` of solve's residual gate on a block of
+    ``size`` rows equal to the state ``s``, laid out as solve's rows
+    ``[s; 1]``.  A block of one row rounds the gate's products as
+    matrix-vector products do, a larger block as matrix products do, and
+    neither need round as the exact residual does; ``admitted`` holds if
+    every row passes and ``estimate`` is the largest."""
+    rows = np.ones((size, s.size + 1))
+    rows[:, :-1] = s
+    states = rows[:, :-1]
+    estimate, limit = _residual_gate(problem, tol)(states, _row_norms(states))
     return not (estimate > limit).any(), estimate.max()
 
 
 class TestFeasibilityGate:
     def test_field_passes_wherever_feasibility_is_within_tol(self):
         # tol equal to a state's own feasibility, in kkt_residual's
-        # arithmetic, is the worst case: the field's A x - b, summed in
+        # arithmetic, is the worst case: the gate's A x - b, summed in
         # another order, must still pass the gate there.  The objectives are
         # callables, whose stationarity the gate does not estimate
         rng = np.random.default_rng(46)
@@ -1272,8 +1311,8 @@ class TestFeasibilityGate:
                 s = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n + p.num_constraints)
                 r = p.A.dot(s[:n]) - p.b
                 tol = math.sqrt(r.dot(r))
-                for integrator in ("euler", "rk4"):  # Euler's map, RK4's field
-                    admitted, estimate = gate_on_first_step(p, integrator, s, tol)
+                for size in (1, 8):
+                    admitted, estimate = gate_on_state(p, s, tol, size)
                     assert admitted
                     above += estimate > tol
         assert above > 0  # states only the rounding slack lets through
@@ -1323,8 +1362,8 @@ class TestFeasibilityGate:
                     objective = Objective.linear(c) if Q is None else Objective.quadratic(Q, c)
                     p = dataclasses.replace(p, objective=objective, b=p.A.dot(x))
                 tol = _residual(p, x, v)
-                for integrator in ("euler", "rk4"):
-                    admitted, estimate = gate_on_first_step(p, integrator, np.concatenate([x, v]), tol)
+                for size in (1, 8):
+                    admitted, estimate = gate_on_state(p, np.concatenate([x, v]), tol, size)
                     assert admitted
                     above += estimate > tol
         assert above > 0  # states only the rounding slack lets through
@@ -1336,10 +1375,34 @@ class TestFeasibilityGate:
         x = p.set.project(linprog(np.ones(5), A_eq=p.A, b_eq=p.b).x)
         s, tol = np.concatenate([x, np.zeros(3)]), 1e-6
         assert np.linalg.norm(p.A @ x - p.b) <= 1e-3 * tol and _residual(p, x, np.zeros(3)) > 1.0
-        for integrator in ("euler", "rk4"):
-            assert not gate_on_first_step(p, integrator, s, tol)[0]
+        for size in (1, 8):
+            assert not gate_on_state(p, s, tol, size)[0]
         callable_only = dataclasses.replace(p, objective=Objective(p.objective.evaluate, p.objective.gradient))
-        assert gate_on_first_step(callable_only, "euler", s, tol)[0]
+        assert gate_on_state(callable_only, s, tol, 8)[0]
+
+
+    def test_overflowing_data_norms_admit_every_row_silently(self):
+        # K and g0 are finite, but ||A||_F (first) or ||b|| (second) is not:
+        # the limit is infinite, or NaN on a zero row, so every row goes to
+        # the exact residual, and neither the gate nor solve warns
+        problems = [
+            ProblemSpec(objective=Objective.linear([1.0, 1.0]), A=[[1e154, 1e154]], b=[1.0], set=FreeSpace(2)),
+            ProblemSpec(objective=Objective.linear([1.0]), A=[[1e-200]], b=[1e200], set=Box([0.0], [1.0])),
+        ]
+        for p in problems:
+            init = FlowState(x=np.zeros(p.dim), v=np.zeros(1))
+            states = np.array([np.zeros(p.dim + 1), np.ones(p.dim + 1)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                gate = _residual_gate(p, 1e-6)
+                with np.errstate(over="ignore", invalid="ignore"):  # as solve runs it
+                    estimate, limit = gate(states, _row_norms(states))
+                assert not (estimate > limit).any()
+                try:
+                    res = solve(p, SolverConfig(max_steps=5), init)
+                    assert not res.converged and res.steps_taken == 5
+                except DivergenceError:  # the first problem's steps overflow
+                    assert p is problems[0]
 
 
 class TestIntegratorOrder:

@@ -211,6 +211,7 @@ def _run_solve(problem: ProblemSpec, defaults: SolverConfig, args, stem: str) ->
     else:
         rng = np.random.default_rng(args.seed)
         init = FlowState(x=rng.standard_normal(n), v=rng.standard_normal(m))
+    problem._kernel  # refuses a K that overflows before the output directory is made
     args.output.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = solve(problem, config, init)

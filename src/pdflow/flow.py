@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -241,16 +242,17 @@ def _product(K: np.ndarray):
     ``out = K s``, each row bitwise ``K.dot``'s under one BLAS thread.
 
     A ``K`` above :data:`SPLIT_BYTES` is cut into two row blocks at a
-    multiple of 64 rows.  Above :data:`TWO_CORE_BYTES`, in a process that
-    may run on two CPUs, each ``with`` block computes them on two cores (see
-    :func:`_two_core`).  Otherwise the blocks are read in an order that
-    flips on every call, across ``with`` blocks: the block a product reads
-    last, the next one reads first, while it is still in L2.  A ``K`` at
-    most :data:`SPLIT_BYTES` is ``K.dot``.
+    multiple of 64 rows, the top one the larger: in :func:`_two_core` the
+    caller computes it, and the helper starts each product a wake-up late.
+    Above :data:`TWO_CORE_BYTES`, in a process that may run on two CPUs,
+    each ``with`` block computes them on two cores.  Otherwise the blocks
+    are read in an order that flips on every call, across ``with`` blocks:
+    the block a product reads last, the next one reads first, while it is
+    still in L2.  A ``K`` at most :data:`SPLIT_BYTES` is ``K.dot``.
     """
     if K.nbytes <= SPLIT_BYTES:
         return partial(nullcontext, K.dot)
-    cut = 64 * round(len(K) / 128)
+    cut = 64 * -(-len(K) // 128)
     if K.nbytes > TWO_CORE_BYTES and _cpus() > 1:
         return partial(_two_core, K[:cut], K[cut:])
     blocks = [(K[:cut], slice(0, cut)), (K[cut:], slice(cut, len(K)))]
@@ -268,37 +270,29 @@ def _two_core(top: np.ndarray, bottom: np.ndarray):
     """``product(s, out)`` of ``K = [top; bottom]``, for use inside the
     ``with`` block: the caller's thread computes ``top``'s rows and one
     helper thread ``bottom``'s, each always into the same rows, so each
-    core keeps its half of ``K`` in its own cache.  They hand off through
-    two locks.  The helper runs under the caller's numpy error state, hands
-    any error it raises to the caller and ends with the block.
+    core keeps its half of ``K`` in its own cache.  The caller puts each
+    ``(s, out)`` on one queue and always waits for the helper's answer on
+    the other: the error its block raised, or None.  The helper runs under
+    the caller's numpy error state and ends with the block.
     """
-    cut = len(top)
-    go, done = threading.Lock(), threading.Lock()
-    go.acquire()
-    done.acquire()
-    task, failure, errstate = [None, None], [], np.geterr()
+    cut, errstate = len(top), np.geterr()
+    tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
 
-    def helper():  # one bottom-block product per release of go, until s is None
+    def helper():  # one bottom-block product per task, until a None task
         with np.errstate(**errstate):
-            while True:
-                go.acquire()
-                s, out = task
-                if s is None:
-                    return
+            for s, out in iter(tasks.get, None):
                 try:
                     bottom.dot(s, out=out[cut:])
+                    done.put(None)
                 except BaseException as error:  # raised again by the caller
-                    failure.append(error)
-                done.release()
+                    done.put(error)
 
     def product(s, out):
-        task[:] = s, out
-        go.release()
+        tasks.put((s, out))
         try:
             top.dot(s, out=out[:cut])
         finally:
-            done.acquire()
-            error = failure.pop() if failure else None
+            error = done.get()
         if error is not None:
             raise error
 
@@ -307,14 +301,8 @@ def _two_core(top: np.ndarray, bottom: np.ndarray):
     try:
         yield product
     finally:
-        task[0] = None
-        try:
-            # go is open if a product was interrupted before the helper took
-            # it; the helper then takes it, finds s None and returns
-            if go.locked():
-                go.release()
-        finally:
-            thread.join()
+        tasks.put(None)
+        thread.join()
 
 
 # Bytes of the buffer of steps that :func:`solve` stores and then tests as

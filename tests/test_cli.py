@@ -641,3 +641,15 @@ class TestOutputDirectory:
         argv = [str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv]
         assert main(argv + ["--output", str(afile)]) == EXIT_INPUT
         assert "File exists" in capsys.readouterr().err
+
+    def test_refused_problem_makes_no_directory(self, tmp_path):
+        # K overflows: the input is refused before --output is created
+        doc = {
+            "objective": {"type": "linear", "c": [1]},
+            "set": {"type": "box", "lower": [0], "upper": [1]},
+            "A": [[1e300]],
+            "b": [1e300],
+        }
+        out = tmp_path / "newout"
+        assert main(["solve", str(write_problem(tmp_path, doc)), "--output", str(out)]) == EXIT_INPUT
+        assert not out.exists()

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -474,6 +475,9 @@ def check_split_product_is_k_dot():
                 assert K.nbytes > flow.SPLIT_BYTES
                 helper = cpus > 1 and K.nbytes > flow.TWO_CORE_BYTES
                 threads, block = threading.active_count(), _product(K)
+                if helper:  # the caller's block, at a multiple of 64 rows, is the larger
+                    top, bottom = block.args
+                    assert len(top) % 64 == 0 and 0 <= len(top) - len(bottom) < 128, rows
                 for _ in range(2):  # the order alternates across blocks too
                     with block() as product:
                         assert threading.active_count() == threads + helper, (name, rows)
@@ -537,6 +541,52 @@ def check_helper_error_reaches_the_caller():
     assert threading.active_count() == threads
 
 
+class InterruptOnce:
+    """A stand-in for ``_two_core``'s top block whose first ``dot`` raises
+    KeyboardInterrupt, as a Ctrl-C in the caller's half of a product."""
+
+    def __init__(self, block):
+        self.block, self.calls = block, 0
+
+    def __len__(self):
+        return len(self.block)
+
+    def dot(self, s, out):
+        self.calls += 1
+        if self.calls == 1:
+            raise KeyboardInterrupt
+        return self.block.dot(s, out=out)
+
+
+class SlowDot:
+    """A stand-in for ``_two_core``'s bottom block that sleeps 20 ms before
+    each ``dot``: a caller that read an answer left over from an earlier
+    product would return before this product's rows are written."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def dot(self, s, out):
+        time.sleep(0.02)
+        return self.block.dot(s, out=out)
+
+
+def check_interrupted_product_leaves_no_answer():
+    """An interrupt in the caller's block is raised by its product after
+    the helper has answered, so the next product in the same block is
+    ``K.dot``'s, and the helper still ends with the block."""
+    rng = np.random.default_rng(65)
+    K, s = rng.normal(size=(600, 600)), rng.normal(size=(2, 600))
+    threads = threading.active_count()
+    with flow._two_core(InterruptOnce(K[:320]), SlowDot(K[320:])) as product:
+        with pytest.raises(KeyboardInterrupt):
+            product(s[0], np.empty(600))
+        out = np.full(600, np.nan)
+        product(s[1], out)
+        assert out.tobytes() == K.dot(s[1]).tobytes()
+    assert threading.active_count() == threads
+
+
 def check_large_euler_solve_matches_stepping():
     """Euler on a QP whose ``E`` is 560 x 561, 14 steps a block: solve's
     stop step, state and trajectory are those of its steps taken one at a
@@ -548,12 +598,21 @@ def check_large_euler_solve_matches_stepping():
     assert_matches_reference(res, problem, config, init)
 
 
+def exit_on_thread_error(args):
+    """``threading.excepthook`` for :func:`run_in_child`: a thread that ends
+    with an unhandled exception prints it and fails the child at once."""
+    threading.__excepthook__(args)
+    sys.stderr.flush()
+    os._exit(1)
+
+
 def run_in_child(check):
     """Run ``check``, a function of this module, in a child Python under one
     BLAS thread with RuntimeWarnings as errors: so that it holds whatever
     BLAS threading this process runs with (with two threads, neither the
-    split nor ``K.dot`` is reproducible across thread counts), and so that
-    a thread left waiting fails at the timeout instead of hanging."""
+    split nor ``K.dot`` is reproducible across thread counts), so that a
+    thread left waiting fails at the timeout instead of hanging, and so
+    that a thread that dies of an exception fails the child."""
     here = os.path.dirname(os.path.abspath(__file__))
     path = [os.path.join(here, "..", "src"), here, os.environ.get("PYTHONPATH", "")]
     env = dict(
@@ -563,7 +622,10 @@ def run_in_child(check):
         MKL_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(path),
     )
-    code = f"import test_flow; test_flow.{check.__name__}()"
+    code = (
+        "import threading, test_flow; threading.excepthook = test_flow.exit_on_thread_error; "
+        f"test_flow.{check.__name__}()"
+    )
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
         env=env, capture_output=True, text=True, timeout=120,
@@ -586,7 +648,12 @@ class TestSplitProduct:
         run_in_child(check)
 
     @pytest.mark.parametrize(
-        "check", [check_large_divergence_is_silent, check_helper_error_reaches_the_caller]
+        "check",
+        [
+            check_large_divergence_is_silent,
+            check_helper_error_reaches_the_caller,
+            check_interrupted_product_leaves_no_answer,
+        ],
     )
     def test_helper_thread_fails_safe(self, check):
         run_in_child(check)

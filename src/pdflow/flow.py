@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .sets import SimpleSet, _as_vector, _check_finite, _frozen, _integer, _positive
+from .sets import SimpleSet, _as_vector, _check_finite, _finite, _frozen, _integer, _positive
 from .spectral import _psd_average
 
 
@@ -157,7 +157,7 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Primal point ``x``, dual point ``v`` and the current time ``t``."""
+    """Primal point ``x``, dual point ``v`` and the current time ``t``, a finite float."""
 
     x: np.ndarray
     v: np.ndarray
@@ -166,6 +166,7 @@ class FlowState:
     def __post_init__(self):
         object.__setattr__(self, "x", _frozen(self.x))
         object.__setattr__(self, "v", _frozen(self.v))
+        object.__setattr__(self, "t", _finite(self.t, "t"))
 
 
 @dataclass(frozen=True)
@@ -330,11 +331,14 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
     so Euler iterates differ from the unfused form in the last bits only;
     on the presets the stop steps are the same.
 
-    Heun and RK4 project each stage field ``K s + g0``'s x-slice onto the
-    tangent cone at its stage point, and each stage point onto the set, in
-    place; the final move writes ``s_{j+1}``.  Stages, moves and weighted
-    sums work in buffers allocated once per call, and each ``advance``
-    computes its stages' ``K s`` inside one block of :func:`_product`.
+    Heun and RK4 are one stage loop over the scheme's stage offsets ``h``,
+    weights ``w`` and divisor ``d``: ``k1`` is the field at ``s``, stage
+    ``i > 1`` the field at ``s + h_i k_{i-1}``, and the final move writes
+    ``s_{j+1} = s + dt / d (k1 + w_2 k_2 + ...)``, the sum accumulated into
+    ``k1`` in stage order.  Each field ``K s + g0`` has its x-slice
+    projected onto the tangent cone at its stage point, and each point onto
+    the set, in place.  Stages and moves work in four buffers made once per
+    call; each ``advance`` takes ``K s`` from one block of :func:`_product`.
     """
     n, m, project = problem.dim, problem.num_constraints, problem.set._project_in_place
     (K, g0), k = problem._kernel, n + m
@@ -348,23 +352,23 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
         np.multiply(K, dt, out=E[:, :k])
         E.reshape(-1)[:: k + 2] += 1.0  # the diagonal of I + dt K
         np.multiply(g0, dt, out=E[:, k])
-        # out=after as a positional argument, which partial passes faster
-        dots = [partial(E.dot, row, after) for row, after in zip(rows, states[1:])]
-        xs = [row[:n] for row in rows]
+        dot, whole, xs = E.dot, list(rows), [row[:n] for row in rows]
 
         def advance(count):
-            for dot, x, after in zip(dots[:count], xs, xs[1:]):
-                dot()
+            for row, after, x, x_after in zip(whole[:count], states[1:], xs, xs[1:]):
+                dot(row, after)
                 if not folded:
-                    np.subtract(after, dt * grad(x), out=after)
-                project(after)
+                    np.subtract(x_after, dt * grad(x), out=x_after)
+                project(x_after)
 
         return rows, advance
 
-    tangent, block, product = problem.set._tangent, _product(K), None  # advance binds product
-    u, hk, k1, k2, k3, k4 = np.empty((6, k))
+    stages = {"heun": ((dt,), (1.0,), 2.0), "rk4": ((dt / 2.0, dt / 2.0, dt), (2.0, 2.0, 1.0), 6.0)}
+    hs, ws, d = stages[integrator]  # stage offsets, weights and divisor
+    tangent, block = problem.set._tangent, _product(K)
+    u, hk, k1, ki = np.empty((4, k))
 
-    def stage(point, out):  # the projected field at a stage point
+    def stage(product, point, out):  # the projected field at a stage point
         product(point, out)
         out += g0
         if not folded:
@@ -378,27 +382,14 @@ def _integrator(problem: ProblemSpec, integrator: str, dt: float, x0, v0):
         project(out[:n])
         return out
 
-    def heun(s, out):
-        stage(move(s, k1, dt, u), k2)
-        move(s, np.add(k2, k1, out=k2), dt / 2.0, out)
-
-    def rk4(s, out):
-        stage(move(s, k1, dt / 2.0, u), k2)
-        stage(move(s, k2, dt / 2.0, u), k3)
-        stage(move(s, k3, dt, u), k4)
-        # ((k1 + 2 k2) + 2 k3) + k4 in k2; doubling is exact
-        np.add(np.multiply(k2, 2.0, out=k2), k1, out=k2)
-        np.add(k2, np.multiply(k3, 2.0, out=k3), out=k2)
-        move(s, np.add(k2, k4, out=k2), dt / 6.0, out)
-
-    scheme = {"heun": heun, "rk4": rk4}[integrator]
-
     def advance(count):
-        nonlocal product
         with block() as product:
             for s, after in zip(states[:count], states[1:]):
-                stage(s, k1)
-                scheme(s, after)
+                last = stage(product, s, k1)
+                for h, w in zip(hs, ws):  # k1 += w k_i in stage order; w k_i is exact
+                    last = stage(product, move(s, last, h, u), ki)
+                    np.add(k1, np.multiply(last, w, out=hk), out=k1)
+                move(s, k1, dt / d, after)
 
     return rows, advance
 
@@ -442,9 +433,9 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
 
 
 def _residual_gate(problem: ProblemSpec, tol: float):
-    """``gate(states, norms)``: per row of a block of states ``s = [x; v]``
-    with norms ``||s||``, ``(estimate, limit)`` such that :func:`_residual`
-    can be within ``tol`` only where ``estimate`` is not above ``limit``.
+    """``gate(states)``: per row of a block of states ``s = [x; v]``,
+    ``(estimate, limit)`` such that :func:`_residual` can be within ``tol``
+    only where ``estimate`` is not above ``limit``.
 
     ``estimate`` is ``||A x - b||`` plus, for a folded objective and on the
     rows where that alone is within ``limit``, the stationarity
@@ -480,8 +471,9 @@ def _residual_gate(problem: ProblemSpec, tol: float):
             gate1 += 3.0 * slack * math.hypot(q, a)
     gate0, gate1 = gate0 * rel, gate1 * rel
 
-    def gate(states, norms):
-        estimate, limit = _row_norms(states[:, :n].dot(A.T) - b), gate0 + gate1 * norms
+    def gate(states):
+        limit = gate0 + gate1 * _row_norms(states)
+        estimate = _row_norms(states[:, :n].dot(A.T) - b)
         rows = np.flatnonzero(~(estimate > limit))
         if c is not None and rows.size:
             y = states[rows, n:].dot(A)
@@ -498,17 +490,18 @@ def _residual_gate(problem: ProblemSpec, tol: float):
 def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveResult:
     """Run the configured integrator until the KKT residual drops below tol.
 
-    The initial primal point is projected onto the set first, so any ``init``
-    is acceptable.  The trajectory records (t, x, v, objective, residual)
-    every ``record_stride`` steps plus the final state.  Raises
+    The initial primal point is projected onto the set first; a point that
+    is not finite after that projection, or a dual ``v`` that is not finite,
+    raises ``ValueError``.  The trajectory records (t, x, v, objective,
+    residual) every ``record_stride`` steps plus the final state.  Raises
     :class:`DivergenceError` if an iterate stops being finite.
 
     It stops at exactly the step where taking the same steps one at a time
     and testing :func:`kkt_residual` after each would.  The steps fill a
     buffer of states (see :func:`_integrator`) a block at a time.  After
-    each block, one vectorized pass takes every state's norm and finds the
-    first non-finite state, and :func:`_residual_gate` estimates every
-    state's residual from its own products.  The residual is evaluated in
+    each block, one vectorized pass finds the first state with an entry
+    that is not finite, and :func:`_residual_gate` estimates every state's
+    residual from its norm and its own products.  The residual is evaluated in
     full, by :func:`kkt_residual`'s own formula and in step order, only on
     recorded steps, at ``max_steps``, or where the gate's estimate is within
     ``tol`` plus its rounding slack (elsewhere the exact residual exceeds
@@ -520,6 +513,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
     n, m = problem.dim, problem.num_constraints
     v0 = _dual(problem, init.v)
     x0 = problem.set.project(init.x)
+    _check_finite("primal init projected onto the set", x0)
     rows, advance = _integrator(problem, config.integrator, config.dt, x0, v0)
     states = rows[:, : n + m]
     dt, tol, stride, max_steps = config.dt, config.tol, config.record_stride, config.max_steps
@@ -528,7 +522,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
 
     trajectory: list[TrajectoryPoint] = []
     record = _make_recorder(problem, trajectory)
-    t, start, finite = float(init.t), 0, None
+    t, start, finite = init.t, 0, None
     # divergence is detected by the explicit finiteness check; silence the
     # transient overflow warnings that precede it and the steps past it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -537,18 +531,14 @@ def solve(problem: ProblemSpec, config: SolverConfig, init: FlowState) -> SolveR
             advance(count)
             times[0] = t
             clock, block = np.add.accumulate(times[: count + 1]), states[: count + 1]
-            norms = _row_norms(block)
             # a row is tested where the gate admits it (`not >` lets a NaN
             # through), where it is due and at max_steps ...
-            estimate, limit = gate(block[:count], norms[:count])
+            estimate, limit = gate(block[:count])
             tested = np.append(~(estimate > limit), start + count >= max_steps)
             tested[-start % stride : count : stride] = True
             # ... up to the first state that is not finite
-            end = count + 1
-            for r in (np.flatnonzero(~np.isfinite(norms[1:])) + 1).tolist():
-                if not np.isfinite(block[r]).all():
-                    end = r
-                    break
+            ok = np.isfinite(block).all(axis=1)
+            end = count + 1 if ok.all() else int(ok.argmin())
             for r in np.flatnonzero(tested[:end]).tolist():
                 x, v, steps = block[r, :n], block[r, n:], start + r
                 residual = _residual(problem, x, v)

@@ -34,12 +34,19 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _positive(value, name: str) -> float:
-    """``value`` as a positive, finite float; bools and non-numbers are refused, not converted."""
+def _finite(value, name: str, rule: str = "a finite number") -> float:
+    """``value`` as a finite float; bools and non-numbers are refused, not converted."""
     number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (number and value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite")
+    if not (number and math.isfinite(value)):
+        raise ValueError(f"{name} must be {rule}")
     return float(value)
+
+
+def _positive(value, name: str) -> float:
+    """``value`` as a positive, finite float (see :func:`_finite`)."""
+    if _finite(value, name, "positive and finite") > 0:
+        return float(value)
+    raise ValueError(f"{name} must be positive and finite")
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:

@@ -46,7 +46,6 @@ from pdflow.flow import (
     _product,
     _residual,
     _residual_gate,
-    _row_norms,
     kkt_residual,
     solve,
 )
@@ -253,6 +252,19 @@ class TestProblemSpec:
         data[field] = value
         with pytest.raises(ValueError, match=f"{field} must be .*finite"):
             ProblemSpec(objective=Objective.linear([1.0, 2.0]), set=FreeSpace(2), **data)
+
+
+class TestFlowState:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "0", True, None])
+    def test_time_must_be_a_finite_number(self, t):
+        # neither converted ("0" to 0.0, True to 1.0) nor a TypeError in solve
+        with pytest.raises(ValueError, match="^t must be a finite number$"):
+            FlowState(x=[0.0], v=[], t=t)
+
+    @pytest.mark.parametrize("t", [2, np.float32(0.5), np.int64(-3)])
+    def test_time_is_stored_as_a_float(self, t):
+        state = FlowState(x=[0.0], v=[], t=t)
+        assert type(state.t) is float and state.t == t
 
 
 class TestLagrangians:
@@ -641,6 +653,20 @@ class TestSplitProduct:
             with _product(K)() as product:
                 assert product == K.dot
 
+    @pytest.mark.parametrize("integrator", ["heun", "rk4"])
+    @pytest.mark.parametrize("make", [example2_problem, product_qp])
+    def test_small_kernel_solves_match_reference(self, make, integrator):
+        # the K.dot branch: 50 steps of solve are bitwise the plain-numpy
+        # reference stages and weighted sum
+        problem, rng = make(), np.random.default_rng(64)
+        assert problem._kernel[0].nbytes <= flow.SPLIT_BYTES
+        x0 = problem.set.project(rng.normal(size=problem.dim))
+        init = FlowState(x=x0, v=rng.normal(size=problem.num_constraints))
+        res = solve(problem, SolverConfig(dt=0.01, tol=1e-300, integrator=integrator, max_steps=50), init)
+        want = reference_steps(problem, integrator, 0.01, init, 50)
+        assert res.steps_taken == 50
+        assert np.concatenate([res.final.x, res.final.v]).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "check", [check_split_product_is_k_dot, check_large_stage_solves_match_reference]
     )
@@ -882,6 +908,22 @@ class TestSolve:
         assert np.array_equal(res.trajectory[0].x, [1.0, 0.0])
         assert np.abs(res.final.x + 0.5**0.5).max() <= 1e-8
 
+    @pytest.mark.parametrize("x0", [np.nan, np.inf])
+    def test_non_finite_start_is_refused(self, x0):
+        # the Box's upper bound is infinite, so inf projects to itself: bad
+        # input, not a divergence that a smaller dt could prevent
+        with pytest.raises(ValueError, match="^primal init projected onto the set must be finite$"):
+            solve(example1_problem(), SolverConfig(max_steps=10), FlowState(x=[x0, 3.0], v=[0.0]))
+
+    @pytest.mark.parametrize("integrator", list(STEPPERS))
+    def test_finite_states_whose_norm_overflows_are_no_divergence(self, integrator):
+        # ||s||^2 overflows, but every state is finite: the run reaches max_steps
+        p = ProblemSpec(objective=Objective.linear([1.0, 1.0]), A=np.zeros((0, 2)), b=np.zeros(0), set=FreeSpace(2))
+        init = FlowState(x=[1e160, -1e160], v=np.zeros(0))
+        res = solve(p, SolverConfig(dt=1e-2, max_steps=5, integrator=integrator), init)
+        assert not res.converged and res.steps_taken == 5
+        assert np.array_equal(res.final.x, init.x)  # dt c is below half an ulp
+
     def test_matches_manual_euler_iteration_bitwise(self):
         p = example1_problem()
         cfg = SolverConfig(dt=1e-2, max_steps=300, tol=1e-30, record_stride=50)
@@ -966,8 +1008,8 @@ class TestSolve:
             dt=1e-2, max_steps=10**6, tol=tol, record_stride=10**6, integrator=integrator
         )
         init = FlowState(x=np.zeros(5), v=np.zeros(3))
-        # per block, _row_norms sees the states (8 wide), then the gate's
-        # A x - b of all but the last (3 wide), then stationarities (5 wide)
+        # per block, the gate's _row_norms sees the states but the last (8
+        # wide), then their A x - b (3 wide), then stationarities (5 wide)
         normed, row_norms = [], flow._row_norms
 
         def recording(block):
@@ -1350,7 +1392,7 @@ def gate_on_state(problem, s, tol, size):
     rows = np.ones((size, s.size + 1))
     rows[:, :-1] = s
     states = rows[:, :-1]
-    estimate, limit = _residual_gate(problem, tol)(states, _row_norms(states))
+    estimate, limit = _residual_gate(problem, tol)(states)
     return not (estimate > limit).any(), estimate.max()
 
 
@@ -1463,7 +1505,7 @@ class TestFeasibilityGate:
                 warnings.simplefilter("error", RuntimeWarning)
                 gate = _residual_gate(p, 1e-6)
                 with np.errstate(over="ignore", invalid="ignore"):  # as solve runs it
-                    estimate, limit = gate(states, _row_norms(states))
+                    estimate, limit = gate(states)
                 assert not (estimate > limit).any()
                 try:
                     res = solve(p, SolverConfig(max_steps=5), init)
